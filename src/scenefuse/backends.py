@@ -186,12 +186,25 @@ class BackendClient:
         return self.cache_dir / f"{digest}.json"
 
     def _cache_read(self, digest: str) -> str | None:
+        """Cached completion, or None on a miss.
+
+        An entry that does not decode, lacks a string ``completion`` or
+        records another digest counts as a miss; the fresh completion
+        then overwrites it.
+        """
         if not self.cache_dir:
             return None
         path = self._cache_path(digest)
         if not path.is_file():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["completion"]
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        if not isinstance(record, dict) or record.get("digest", digest) != digest:
+            return None
+        completion = record.get("completion")
+        return completion if isinstance(completion, str) else None
 
     def _cache_write(self, digest: str, request: BackendRequest, completion: str) -> None:
         if not self.cache_dir:

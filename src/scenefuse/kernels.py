@@ -1,28 +1,21 @@
 """Hot numeric kernels: character-level LCS and the DTW grid.
 
-Two interchangeable implementations live here. The default is a set of
-tight loops compiled with numba's ``@njit``; the fallback is vectorized
-NumPy working over anti-diagonals (entries on diagonal ``i+j = d`` only
-depend on diagonals ``d-1`` and ``d-2``, so each diagonal is one array
-op). Both produce bit-identical results.
+The LCS length is computed bit-parallel (Allison & Dix 1986; Hyyrö 2004)
+over Python ints, so a line of any length is one bit vector. Bit ``i`` of
+``masks[c]`` is set when the line has code point ``c`` at position ``i``.
+Starting from ``V`` all ones, each character ``c`` of the other sequence
+steps ``U = V & masks[c]; V = ((V + U) | (V - U)) & full``; afterwards the
+zero bits of ``V`` count the LCS. ``pair_cost_matrix`` builds the masks
+once per line and reuses them for every cue.
 
-Selection is decided once at import time from the ``SCENEFUSE_NUMBA``
-environment variable: unset or truthy selects numba when importable,
-``0``/``false``/``off``/``no`` forces the NumPy path. The benchmark in
-``benchmarks/bench_kernels.py`` times one process per path.
+The DTW table is filled over anti-diagonals with NumPy: entries on
+diagonal ``i+j = s`` only depend on diagonals ``s-1`` and ``s-2``, so each
+diagonal is one array op.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-ENV_FLAG = "SCENEFUSE_NUMBA"
-
-
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in ("0", "false", "off", "no")
 
 
 def encode_text(text: str) -> np.ndarray:
@@ -30,104 +23,50 @@ def encode_text(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.int32)
 
 
-# ---------------------------------------------------------------------------
-# Loop implementations (njit targets; also runnable as plain Python)
-# ---------------------------------------------------------------------------
-
-def _lcs_length_loops(a, b):
-    la = a.shape[0]
-    lb = b.shape[0]
-    if la == 0 or lb == 0:
-        return 0
-    prev = np.zeros(lb + 1, np.int64)
-    cur = np.zeros(lb + 1, np.int64)
-    for i in range(1, la + 1):
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            elif prev[j] >= cur[j - 1]:
-                cur[j] = prev[j]
-            else:
-                cur[j] = cur[j - 1]
-        prev, cur = cur, prev
-    return int(prev[lb])
+def _match_masks(codes: list[int]) -> dict[int, int]:
+    """Code point -> bit mask of the positions where it occurs."""
+    masks: dict[int, int] = {}
+    for i, c in enumerate(codes):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    return masks
 
 
-def _pair_costs_loops(a_flat, a_off, b_flat, b_off):
-    m = a_off.shape[0] - 1
-    k = b_off.shape[0] - 1
-    out = np.empty((m, k), np.float64)
-    for i in range(m):
-        ai = a_flat[a_off[i]:a_off[i + 1]]
-        for j in range(k):
-            bj = b_flat[b_off[j]:b_off[j + 1]]
-            la = ai.shape[0]
-            lb = bj.shape[0]
+def _lcs_bits(masks: dict[int, int], la: int, other: list[int]) -> int:
+    """LCS length of the ``la``-long sequence behind ``masks`` and ``other``."""
+    full = (1 << la) - 1
+    v = full
+    for c in other:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return la - v.bit_count()
+
+
+def lcs_length_codes(a: np.ndarray, b: np.ndarray) -> int:
+    """Length of the longest common subsequence of two code-point arrays."""
+    codes_a = np.asarray(a).tolist()
+    return _lcs_bits(_match_masks(codes_a), len(codes_a), np.asarray(b).tolist())
+
+
+def pair_cost_matrix(lines: list[np.ndarray], cues: list[np.ndarray]) -> np.ndarray:
+    """(len(lines), len(cues)) matrix of 1 - lcs/min-length costs."""
+    cue_codes = [np.asarray(cue).tolist() for cue in cues]
+    out = np.empty((len(lines), len(cues)), np.float64)
+    for i, line in enumerate(lines):
+        codes = np.asarray(line).tolist()
+        la = len(codes)
+        masks = _match_masks(codes)
+        for j, cue in enumerate(cue_codes):
+            lb = len(cue)
             if la == 0 or lb == 0:
                 out[i, j] = 1.0
             else:
-                shorter = la if la < lb else lb
-                out[i, j] = 1.0 - _lcs_kernel(ai, bj) / shorter
+                out[i, j] = 1.0 - _lcs_bits(masks, la, cue) / min(la, lb)
     return out
 
 
-def _dtw_table_loops(cost):
-    m, k = cost.shape
-    d = np.empty((m, k), np.float64)
-    d[0, 0] = cost[0, 0]
-    for j in range(1, k):
-        d[0, j] = d[0, j - 1] + cost[0, j]
-    for i in range(1, m):
-        d[i, 0] = d[i - 1, 0] + cost[i, 0]
-        for j in range(1, k):
-            best = d[i - 1, j - 1]
-            if d[i - 1, j] < best:
-                best = d[i - 1, j]
-            if d[i, j - 1] < best:
-                best = d[i, j - 1]
-            d[i, j] = cost[i, j] + best
-    return d
-
-
-# ---------------------------------------------------------------------------
-# NumPy anti-diagonal implementations
-# ---------------------------------------------------------------------------
-
-def _lcs_length_numpy(a, b):
-    la, lb = a.shape[0], b.shape[0]
-    if la == 0 or lb == 0:
-        return 0
-    table = np.zeros((la + 1, lb + 1), np.int64)
-    for d in range(2, la + lb + 1):
-        lo = max(1, d - lb)
-        hi = min(la, d - 1)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        diag = table[i - 1, j - 1] + (a[i - 1] == b[j - 1])
-        table[i, j] = np.maximum(diag, np.maximum(table[i - 1, j], table[i, j - 1]))
-    return int(table[la, lb])
-
-
-def _pair_costs_numpy(a_flat, a_off, b_flat, b_off):
-    m = a_off.shape[0] - 1
-    k = b_off.shape[0] - 1
-    seqs_a = [a_flat[a_off[i]:a_off[i + 1]] for i in range(m)]
-    seqs_b = [b_flat[b_off[j]:b_off[j + 1]] for j in range(k)]
-    out = np.empty((m, k), np.float64)
-    for i, ai in enumerate(seqs_a):
-        for j, bj in enumerate(seqs_b):
-            if ai.shape[0] == 0 or bj.shape[0] == 0:
-                out[i, j] = 1.0
-            else:
-                shorter = min(ai.shape[0], bj.shape[0])
-                out[i, j] = 1.0 - _lcs_length_numpy(ai, bj) / shorter
-    return out
-
-
-def _dtw_table_numpy(cost):
+def dtw_table(cost: np.ndarray) -> np.ndarray:
+    """Accumulated-cost table for steps {down, right, diagonal}."""
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
     m, k = cost.shape
     # 1-based padding with +inf so border cells fall out of the same min
     d = np.full((m + 1, k + 1), np.inf)
@@ -140,63 +79,6 @@ def _dtw_table_numpy(cost):
         best = np.minimum(d[i - 1, j - 1], np.minimum(d[i - 1, j], d[i, j - 1]))
         d[i, j] = cost[i - 1, j - 1] + best
     return d[1:, 1:]
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-HAVE_NUMBA = False
-ACTIVE = "numpy"
-_lcs_kernel = _lcs_length_loops
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        # _pair_costs_loops resolves the module-global _lcs_kernel at its own
-        # compile time, so the LCS dispatcher must be bound first.
-        _lcs_kernel = njit(cache=True)(_lcs_length_loops)
-        _pair_costs_jit = njit(cache=True)(_pair_costs_loops)
-        _dtw_table_jit = njit(cache=True)(_dtw_table_loops)
-        HAVE_NUMBA = True
-        ACTIVE = "numba"
-
-if HAVE_NUMBA:
-    _lcs_length_impl = _lcs_kernel
-    _pair_costs_impl = _pair_costs_jit
-    _dtw_table_impl = _dtw_table_jit
-else:
-    _lcs_length_impl = _lcs_length_numpy
-    _pair_costs_impl = _pair_costs_numpy
-    _dtw_table_impl = _dtw_table_numpy
-
-
-def lcs_length_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of the longest common subsequence of two code-point arrays."""
-    return int(_lcs_length_impl(np.ascontiguousarray(a), np.ascontiguousarray(b)))
-
-
-def flatten_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack ragged code arrays into (flat, offsets) for the kernels."""
-    offs = np.zeros(len(seqs) + 1, np.int64)
-    np.cumsum([s.shape[0] for s in seqs], out=offs[1:])
-    flat = np.concatenate(seqs) if seqs else np.empty(0, np.int32)
-    return np.ascontiguousarray(flat, dtype=np.int32), offs
-
-
-def pair_cost_matrix(lines: list[np.ndarray], cues: list[np.ndarray]) -> np.ndarray:
-    """(len(lines), len(cues)) matrix of 1 - lcs/min-length costs."""
-    a_flat, a_off = flatten_sequences(lines)
-    b_flat, b_off = flatten_sequences(cues)
-    return _pair_costs_impl(a_flat, a_off, b_flat, b_off)
-
-
-def dtw_table(cost: np.ndarray) -> np.ndarray:
-    """Accumulated-cost table for steps {down, right, diagonal}."""
-    return _dtw_table_impl(np.ascontiguousarray(cost, dtype=np.float64))
 
 
 def dtw_backtrack(d: np.ndarray) -> list[tuple[int, int]]:
@@ -220,11 +102,3 @@ def dtw_backtrack(d: np.ndarray) -> list[tuple[int, int]]:
         path.append((i, j))
     path.reverse()
     return path
-
-
-# Explicit handles for the benchmark; the numba pair depends on availability.
-IMPLEMENTATIONS = {
-    "numpy": (_lcs_length_numpy, _pair_costs_numpy, _dtw_table_numpy),
-}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = (_lcs_kernel, _pair_costs_jit, _dtw_table_jit)

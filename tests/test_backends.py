@@ -109,6 +109,36 @@ def test_cache_outlives_the_client(tmp_path):
     assert fresh.calls == 0
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],  # truncated mid-write
+        lambda text: "\udcff",  # not valid UTF-8 once written
+        lambda text: json.dumps({"digest": "x"}),  # no completion
+        lambda text: json.dumps({**json.loads(text), "completion": 7}),
+        lambda text: json.dumps({**json.loads(text), "digest": "0" * 64}),
+        lambda text: "[]",
+    ],
+    ids=["truncated", "undecodable", "no-completion", "non-string", "digest-mismatch", "not-a-record"],
+)
+def test_corrupt_cache_entry_is_a_miss_and_gets_repaired(tmp_path, damage):
+    BackendClient(FlakyTransport(0), cache_dir=tmp_path).complete(request("alpha"))
+    (entry,) = tmp_path.glob("*.json")
+    good = entry.read_text(encoding="utf-8")
+    entry.write_bytes(damage(good).encode("utf-8", "surrogateescape"))
+    transport = FlakyTransport(0)
+    client = BackendClient(transport, cache_dir=tmp_path)
+    assert client.complete(request("alpha")) == "echo: alpha"
+    assert transport.attempts == 1  # the request was sent again
+    assert client.calls == 1
+    assert entry.read_text(encoding="utf-8") == good  # and the entry rewritten
+    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name]  # no temp left
+    # the repaired entry serves the next client from cache
+    fresh = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    assert fresh.complete(request("alpha")) == "echo: alpha"
+    assert fresh.calls == 0
+
+
 def test_refresh_bypasses_the_cached_completion(tmp_path):
     replies = iter(["stale", "fresh", "unused"])
     client = BackendClient(

@@ -57,6 +57,16 @@ class BackendRequest:
     temperature: float = 0.0
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write text through a per-thread temp file and os.replace.
+
+    A reader sees the old file or the whole new one, never a partial write.
+    """
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def cache_key(request: BackendRequest) -> str:
     """sha256 over every request field; any byte difference separates keys."""
     payload = json.dumps(
@@ -216,10 +226,7 @@ class BackendClient:
             "prompt": request.prompt,
             "completion": completion,
         }
-        path = self._cache_path(digest)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(self._cache_path(digest), json.dumps(record, ensure_ascii=False, indent=1))
 
     def complete(self, request: BackendRequest, refresh: bool = False) -> str:
         """Cached completion; ``refresh`` forces one fresh upstream call."""

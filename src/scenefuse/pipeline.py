@@ -3,8 +3,11 @@
 Stage order: segment, align, caption, scene-summarize, reorder, fuse.
 Every stage's output is persisted under the output directory before the
 next stage runs; a rerun loads whatever already exists, so deleting one
-artifact re-executes exactly that stage. Ablation flags drop a stage
-and its content from the fusion input.
+artifact re-executes exactly that stage. An artifact that does not
+decode (truncated, not JSON, missing fields) is recomputed the same way.
+Artifacts are written through a temp file and os.replace, so a crash
+leaves the old file or none, never half of one. Ablation flags drop a
+stage and its content from the fusion input.
 """
 
 from __future__ import annotations
@@ -194,13 +197,24 @@ def _stage(
     deserialize: Callable[[str], T], name: str,
 ) -> T:
     if path.exists():
-        return deserialize(path.read_text(encoding="utf-8"))
+        try:
+            return deserialize(path.read_text(encoding="utf-8"))
+        except (ValueError, KeyError, TypeError, IndexError):
+            pass  # corrupt or truncated: recompute and overwrite it
     try:
         value = compute()
     except ScenefuseError as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
-    path.write_text(serialize(value), encoding="utf-8")
+    be.write_atomic(path, serialize(value))
     return value
+
+
+def _text_from_file(text: str) -> str:
+    # text artifacts end with the one newline their writer appends; a
+    # file without it was cut short
+    if not text.endswith("\n"):
+        raise ValueError("text artifact lacks its closing newline")
+    return text[:-1]
 
 
 def _partition_from_dict(data: dict) -> Partition:
@@ -213,6 +227,10 @@ def _partition_from_dict(data: dict) -> Partition:
 
 def _alignment_from_dict(data: dict) -> Alignment:
     return Alignment(tuple((l, c) for l, c in data["path"]), data["total_cost"])
+
+
+def _order_from_dict(data: dict) -> SceneOrder:
+    return SceneOrder(tuple(data["permutation"]), data["reordered_cost"])
 
 
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
@@ -313,9 +331,7 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
     order = _stage(
         out / "order.json", compute_order,
         lambda o: _dumps(order_to_dict(rosters, o)),
-        lambda text: SceneOrder(
-            tuple(json.loads(text)["permutation"]), json.loads(text)["reordered_cost"]
-        ),
+        lambda text: _order_from_dict(json.loads(text)),
         "reorder",
     )
 
@@ -329,8 +345,8 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
             order,
             config.context_budget,
         ),
-        lambda text: text,
-        lambda text: text,
+        lambda text: text + "\n",
+        _text_from_file,
         "fuse-input",
     )
 
@@ -338,7 +354,7 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
         out / "summary.txt",
         lambda: config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip(),
         lambda text: text + "\n",
-        lambda text: text.rstrip("\n"),
+        _text_from_file,
         "fuse",
     )
 
@@ -364,5 +380,5 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )
-    (out / "prefs.json").write_text(_dumps(report.to_dict()), encoding="utf-8")
+    be.write_atomic(out / "prefs.json", _dumps(report.to_dict()))
     return report

@@ -6,6 +6,18 @@ relative order. A greedy pass moves each scene as far forward as the
 constraint allows, keeping the move only on a strict cost improvement,
 and repeats until a full pass changes nothing. An exhaustive oracle
 covers small instances.
+
+Distances, and the greedy pass's shares-a-character test, come from
+one 0/1 scene-by-speaker membership matrix: its Gram matrix holds every
+intersection size, so 1 - IOU is the same correctly rounded division
+that iou() computes.
+
+A move changes at most three adjacent pairs, so the greedy pass first
+computes that six-term delta and skips the move when the delta is
+positive beyond any rounding error of the two full folds (see
+_SCREEN_ULPS); only moves that survive the screen are folded and
+compared, and strict improvement of the folded total stays the only
+accept rule. The screen thus changes the work, never the result.
 """
 
 from __future__ import annotations
@@ -14,9 +26,24 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import TooLarge
 
 BRUTE_FORCE_MAX_SCENES = 8
+
+# Screen margin, in units of 2**-53, times n*n. Every distance lies in
+# [0, 1]. A left fold of n - 1 such terms starting from 0.0 makes n - 2
+# rounded additions, each off by at most 2**-53 times a partial sum
+# <= n - 1, so each folded total is within (n - 1)(n - 2) 2**-53 of its
+# exact value, and the difference of two folds within twice that. Both
+# folds share all but the moved pairs, so their exact difference is the
+# exact six-term delta; computing that delta rounds at most five times,
+# each on a result of magnitude <= 3, adding at most 15 * 2**-53. In
+# total the error is at most (2 (n - 1)(n - 2) + 15) 2**-53, which is
+# below 8 n n 2**-53 for n >= 2, so a delta above the margin means the
+# folded candidate total cannot be below the folded current one.
+_SCREEN_ULPS = 8
 
 
 def iou(a: Iterable[str], b: Iterable[str]) -> float:
@@ -54,8 +81,21 @@ class SceneOrder:
     cost: float
 
 
-def _distance_matrix(sets: list[set[str]]) -> list[list[float]]:
-    return [[1.0 - iou(a, b) for b in sets] for a in sets]
+def _distances(sets: list[set[str]]) -> tuple[list[list[float]], list[list[bool]]]:
+    """1 - IOU and shares-a-character for every ordered scene pair."""
+    index: dict[str, int] = {}
+    rows, cols = [], []
+    for row, roster in enumerate(sets):
+        for name in roster:
+            rows.append(row)
+            cols.append(index.setdefault(name, len(index)))
+    member = np.zeros((len(sets), len(index)), np.int64)
+    member[rows, cols] = 1
+    inter = member @ member.T
+    size = member.sum(axis=1)
+    union = size[:, None] + size[None, :] - inter
+    ratio = np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+    return (1.0 - ratio).tolist(), (inter > 0).tolist()
 
 
 def _fold(dist: list[list[float]], perm: Sequence[int]) -> float:
@@ -63,6 +103,20 @@ def _fold(dist: list[list[float]], perm: Sequence[int]) -> float:
     for a, b in zip(perm, perm[1:]):
         total += dist[a][b]
     return total
+
+
+def _move_delta(dist: list[list[float]], perm: list[int], dest: int, p: int) -> float:
+    """Cost change of moving perm[p] to position dest < p, pairs only."""
+    scene = perm[p]
+    added = dist[scene][perm[dest]]
+    removed = dist[perm[p - 1]][scene]
+    if dest:
+        added += dist[perm[dest - 1]][scene]
+        removed += dist[perm[dest - 1]][perm[dest]]
+    if p + 1 < len(perm):
+        added += dist[perm[p - 1]][perm[p + 1]]
+        removed += dist[scene][perm[p + 1]]
+    return added - removed
 
 
 def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
@@ -77,8 +131,8 @@ def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
     sets = [set(r) for r in rosters]
     if n <= 1:
         return SceneOrder(tuple(range(n)), 0.0)
-    dist = _distance_matrix(sets)
-    shares = [[bool(sets[i] & sets[j]) for j in range(n)] for i in range(n)]
+    dist, shares = _distances(sets)
+    margin = _SCREEN_ULPS * n * n * 2.0**-53
 
     perm = list(range(n))
     current = _fold(dist, perm)
@@ -93,6 +147,8 @@ def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
                     dest = t + 1
                     break
             if dest == p:
+                continue
+            if _move_delta(dist, perm, dest, p) > margin:
                 continue
             candidate = perm[:dest] + [scene] + perm[dest:p] + perm[p + 1:]
             cost = _fold(dist, candidate)
@@ -116,7 +172,7 @@ def brute_force_reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
     sets = [set(r) for r in rosters]
     if n <= 1:
         return SceneOrder(tuple(range(n)), 0.0)
-    dist = _distance_matrix(sets)
+    dist, _ = _distances(sets)
     pairs = causality(rosters)
 
     best_perm: tuple[int, ...] | None = None

@@ -10,16 +10,21 @@ needed to name the scene's speaker subset. The optimal partition over
 all 2^(m-1) contiguous tilings is found by a prefix DP; the number of
 scenes is emergent, never supplied.
 
-Exactness contract: the DP and the exhaustive search share one span
-cost matrix and accumulate partition costs as the same left-to-right
-fold, so their totals are bit-identical, never merely close. Ties break
-toward fewer scenes, then the lexicographically smallest break tuple.
+Exactness contract: every span cost, wherever it is needed, is the same
+float64 expression cb[n] + l * lg[n] on the same lookup tables. The DP
+evaluates it one column [0..j) x j at a time, span_costs stacks those
+very columns into the matrix the exhaustive search reads, and scenes
+are costed with it one at a time. Partition costs accumulate as the
+same left-to-right fold everywhere, so DP and exhaustive totals are
+bit-identical, never merely close. Ties break toward fewer scenes, then
+the lexicographically smallest break tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -59,55 +64,66 @@ class SpanCosts:
     costs: np.ndarray
 
 
-def _speaker_codes(transcript: Transcript) -> np.ndarray:
-    index: dict[str, int] = {}
-    codes = np.empty(len(transcript.lines), np.int64)
-    for i, line in enumerate(transcript.lines):
-        codes[i] = index.setdefault(line.speaker, len(index))
-    return codes
+@dataclass(frozen=True)
+class _Tables:
+    """Lookup tables indexed by a span's distinct-speaker count n.
 
-
-def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCosts:
-    """Precompute n(i, j) and cost(i, j) for every line span.
-
-    n(i, j) is vectorized through previous-occurrence indices: line t
-    adds a new speaker to a span starting at i iff its speaker's prior
-    appearance is before i.
+    Slot 0 is never a real span; it keeps index arithmetic in range.
     """
-    codes = _speaker_codes(transcript)
-    m = codes.shape[0]
-    observed = int(codes.max()) + 1
+
+    n_total: int
+    cb: np.ndarray
+    lg: np.ndarray
+
+
+def _tables(transcript: Transcript, n_speakers: int | None) -> _Tables:
+    observed = len({line.speaker for line in transcript.lines})
     n_total = observed if n_speakers is None else n_speakers
     if n_total < observed:
         raise InvalidCount(f"N={n_total} below observed speaker count {observed}")
-
-    prev = np.full(m, -1, np.int64)
-    last_seen: dict[int, int] = {}
-    for t, c in enumerate(codes.tolist()):
-        if c in last_seen:
-            prev[t] = last_seen[c]
-        last_seen[c] = t
-
-    starts = np.arange(m)[:, None]
-    introduces = prev[None, :] < starts
-    running = introduces.cumsum(axis=1)
-    base = np.where(np.arange(m) > 0, running[np.arange(m), np.arange(m) - 1], 0)
-
-    counts = np.zeros((m + 1, m + 1), np.int64)
-    # cells with j <= i are meaningless and go negative; clamp them so
-    # the lookup below stays in range (slot 0 maps to cost 0)
-    counts[:m, 1:] = np.maximum(running - base[:, None], 0)
-
-    # lookup tables indexed by n; slot 0 only pads unused cells
     cb = np.zeros(n_total + 1, np.float64)
     lg = np.zeros(n_total + 1, np.float64)
     for n in range(1, n_total + 1):
         cb[n] = codebook_cost(n_total, n)
         lg[n] = math.log2(n)
+    return _Tables(n_total, cb, lg)
 
-    lengths = np.arange(m + 1)[None, :] - np.arange(m + 1)[:, None]
-    costs = cb[counts] + lengths * lg[counts]
-    return SpanCosts(n_total, counts, costs)
+
+def _span_columns(
+    transcript: Transcript, tables: _Tables
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (j, counts, costs) for the spans [i, j), i < j, j = 1..m.
+
+    cnt[i] is the distinct-speaker count of [i, j). Line j-1 adds its
+    speaker to exactly the spans starting after that speaker's previous
+    line p (p = -1 if none), so one slice increment advances the column.
+    The yielded counts are a view that the next step overwrites.
+    """
+    m = len(transcript.lines)
+    cnt = np.zeros(m, np.int64)
+    starts = np.arange(m)
+    last_seen: dict[str, int] = {}
+    for j, line in enumerate(transcript.lines, start=1):
+        cnt[last_seen.get(line.speaker, -1) + 1:j] += 1
+        last_seen[line.speaker] = j - 1
+        counts = cnt[:j]
+        yield j, counts, tables.cb[counts] + (j - starts[:j]) * tables.lg[counts]
+
+
+def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCosts:
+    """Stack every column of span counts and costs into dense matrices.
+
+    Only the exhaustive oracle and tests need the full table; the DP
+    consumes the same columns one at a time.
+    """
+    tables = _tables(transcript, n_speakers)
+    m = len(transcript.lines)
+    counts = np.zeros((m + 1, m + 1), np.int64)
+    costs = np.zeros((m + 1, m + 1), np.float64)
+    for j, count_col, cost_col in _span_columns(transcript, tables):
+        counts[:j, j] = count_col
+        costs[:j, j] = cost_col
+    return SpanCosts(tables.n_total, counts, costs)
 
 
 def _fold_cost(costs: np.ndarray, boundaries: list[int]) -> float:
@@ -117,16 +133,27 @@ def _fold_cost(costs: np.ndarray, boundaries: list[int]) -> float:
     return total
 
 
-def _build_partition(
-    transcript: Transcript, table: SpanCosts, breaks: tuple[int, ...], total: float
-) -> Partition:
-    m = len(transcript.lines)
-    boundaries = [0, *breaks, m]
-    scenes = tuple(
-        Scene(a, b, scene_roster(transcript, a, b), float(table.costs[a, b]))
-        for a, b in zip(boundaries, boundaries[1:])
-    )
-    return Partition(scenes, float(total))
+def _scenes(
+    transcript: Transcript, tables: _Tables, breaks: tuple[int, ...]
+) -> tuple[Scene, ...]:
+    boundaries = [0, *breaks, len(transcript.lines)]
+    scenes = []
+    for a, b in zip(boundaries, boundaries[1:]):
+        roster = scene_roster(transcript, a, b)
+        n = len(roster)
+        # the _span_columns formula, on one span
+        cost = float(tables.cb[n] + (b - a) * tables.lg[n])
+        scenes.append(Scene(a, b, roster, cost))
+    return tuple(scenes)
+
+
+def _breaks_ending_at(back: list[int], j: int) -> tuple[int, ...]:
+    breaks = []
+    while j:
+        j = back[j]
+        if j:
+            breaks.append(j)
+    return tuple(reversed(breaks))
 
 
 def optimal_partition(
@@ -135,44 +162,39 @@ def optimal_partition(
     """Globally cheapest partition of the transcript into scenes.
 
     best[j] holds the cheapest encoding of lines [0, j); each candidate
-    extends best[i] with one scene [i, j). Cost comparison is strict,
-    with exact ties resolved by scene count and then break tuple, so the
-    result is deterministic and matches brute_force_partition.
+    extends best[i] with one scene [i, j), all i at once. The minimum is
+    exact, and only exact ties rebuild break tuples from the
+    backpointers to apply the scene-count-then-break-tuple rule, so the
+    result is deterministic and matches brute_force_partition. Memory is
+    O(m): one cost column at a time, never the (m+1)^2 span table.
     """
     if not transcript.lines:
         raise EmptyTranscript("cannot partition an empty transcript")
-    table = span_costs(transcript, n_speakers)
-    costs = table.costs
+    tables = _tables(transcript, n_speakers)
     m = len(transcript.lines)
 
-    best_cost = [0.0] * (m + 1)
-    best_nscenes = [0] * (m + 1)
-    best_breaks: list[tuple[int, ...]] = [()] * (m + 1)
-    for j in range(1, m + 1):
-        found_cost = math.inf
-        found_nscenes = 0
-        found_breaks: tuple[int, ...] = ()
-        for i in range(j):
-            cand_cost = best_cost[i] + costs[i, j]
-            if cand_cost > found_cost:
-                continue
-            cand_nscenes = best_nscenes[i] + 1
-            if cand_cost == found_cost:
-                if cand_nscenes > found_nscenes:
-                    continue
-                cand_breaks = best_breaks[i] + (i,) if i else ()
-                if cand_nscenes == found_nscenes and cand_breaks >= found_breaks:
-                    continue
-            else:
-                cand_breaks = best_breaks[i] + (i,) if i else ()
-            found_cost = cand_cost
-            found_nscenes = cand_nscenes
-            found_breaks = cand_breaks
-        best_cost[j] = found_cost
-        best_nscenes[j] = found_nscenes
-        best_breaks[j] = found_breaks
+    best = np.zeros(m + 1, np.float64)
+    nscenes = np.zeros(m + 1, np.int64)
+    back = [0] * (m + 1)
+    for j, _, col in _span_columns(transcript, tables):
+        cand = best[:j] + col
+        lo = cand.min()
+        ties = np.flatnonzero(cand == lo)
+        if len(ties) > 1:
+            ties = ties[nscenes[ties] == nscenes[ties].min()]
+        if len(ties) > 1:
+            i = min(
+                ties.tolist(),
+                key=lambda i: _breaks_ending_at(back, i) + (i,) if i else (),
+            )
+        else:
+            i = int(ties[0])
+        best[j] = lo
+        nscenes[j] = nscenes[i] + 1
+        back[j] = i
 
-    return _build_partition(transcript, table, best_breaks[m], best_cost[m])
+    breaks = _breaks_ending_at(back, m)
+    return Partition(_scenes(transcript, tables, breaks), float(best[m]))
 
 
 def brute_force_partition(
@@ -180,16 +202,16 @@ def brute_force_partition(
 ) -> Partition:
     """Exhaustive minimum over all contiguous partitions (oracle).
 
-    Shares span_costs and the fold order with optimal_partition so the
-    two agree exactly, tie-breaking included.
+    Reads the stacked span_costs columns and folds them in the same
+    order as optimal_partition, so the two agree exactly, tie-breaking
+    included.
     """
     m = len(transcript.lines)
     if m == 0:
         raise EmptyTranscript("cannot partition an empty transcript")
     if m > BRUTE_FORCE_MAX_LINES:
         raise TooLarge(f"m={m} exceeds brute-force limit {BRUTE_FORCE_MAX_LINES}")
-    table = span_costs(transcript, n_speakers)
-    costs = table.costs
+    costs = span_costs(transcript, n_speakers).costs
 
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     for mask in range(1 << (m - 1)):
@@ -198,7 +220,8 @@ def brute_force_partition(
         key = (total, len(breaks) + 1, breaks)
         if best_key is None or key < best_key:
             best_key = key
-    return _build_partition(transcript, table, best_key[2], best_key[0])
+    scenes = _scenes(transcript, _tables(transcript, n_speakers), best_key[2])
+    return Partition(scenes, float(best_key[0]))
 
 
 def partition_from_breaks(
@@ -213,9 +236,11 @@ def partition_from_breaks(
     ordered = tuple(sorted(set(breaks)))
     if ordered and not (ordered[0] >= 1 and ordered[-1] <= m - 1):
         raise InvalidCount(f"break positions {ordered} outside [1, {m - 1}]")
-    table = span_costs(transcript, n_speakers)
-    total = _fold_cost(table.costs, [0, *ordered, m])
-    return _build_partition(transcript, table, ordered, total)
+    scenes = _scenes(transcript, _tables(transcript, n_speakers), ordered)
+    total = 0.0
+    for scene in scenes:
+        total += scene.cost_bits
+    return Partition(scenes, total)
 
 
 def effective_partition(

@@ -102,6 +102,20 @@ def test_summarize_prints_the_final_summary(capsys, tmp_path, episode_dir):
     assert (out_dir / "ep1" / "summary.txt").is_file()
 
 
+def test_summarize_recomputes_a_truncated_artifact(capsys, tmp_path, episode_dir):
+    out_dir = tmp_path / "artifacts"
+    code, first, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 0, err
+    partition = out_dir / "ep1" / "partition.json"
+    intact = partition.read_bytes()
+    partition.write_bytes(intact[: len(intact) // 2])
+
+    code, again, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 0, err
+    assert again == first
+    assert partition.read_bytes() == intact
+
+
 def test_evaluate_with_a_summary_file(capsys, tmp_path, episode_dir):
     summary = tmp_path / "candidate.txt"
     summary.write_text("Nick owns a boat. Brooke sails away.\n", encoding="utf-8")

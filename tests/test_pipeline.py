@@ -236,6 +236,47 @@ def test_pipeline_recomputes_only_the_deleted_stage(tmp_path):
     assert backends.upstream_calls == 7
 
 
+DAMAGE = {
+    "half": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+    "undecodable": lambda data: b"\xff\xfe not text",
+    # valid JSON of the wrong kind; the text artifacts hold free text, so
+    # only their closing newline tells a complete file from a cut one
+    "json-scalar": lambda data: b"7\n",
+}
+CORRUPTIONS = [
+    pytest.param(name, damage, id=f"{damage}-{name}")
+    for damage in DAMAGE
+    for name in STAGE_FILES
+    if damage != "json-scalar" or name.endswith(".json")
+]
+
+
+@pytest.mark.parametrize(("name", "damage"), CORRUPTIONS)
+def test_pipeline_recomputes_a_corrupt_artifact(tmp_path, name, damage):
+    episode = standard_episode(tmp_path)
+    fresh = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache-fresh"),
+        out_dir=tmp_path / "fresh",
+    )
+    run_pipeline(episode, fresh)
+    expected = {n: (tmp_path / "fresh" / "ep1" / n).read_bytes() for n in STAGE_FILES}
+
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run_pipeline(episode, config)
+    out = tmp_path / "out" / "ep1"
+    damaged = DAMAGE[damage]((out / name).read_bytes())
+    assert damaged != expected[name]
+    (out / name).write_bytes(damaged)
+
+    run_pipeline(episode, config)
+    assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
+    # the rewrite went through a temp file that os.replace consumed
+    assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES)
+
+
 def test_pipeline_stage_errors_name_the_stage(tmp_path):
     episode = standard_episode(tmp_path)
     backends = build_uncached_backends()

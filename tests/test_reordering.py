@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from scenefuse import reordering
 from scenefuse.errors import TooLarge
 from scenefuse.reordering import (
     SceneOrder,
+    _distances,
     brute_force_reorder,
     causality,
     iou,
@@ -23,6 +25,52 @@ def random_rosters(rng: random.Random, n: int) -> list[set[str]]:
         set(rng.sample(NAMES, rng.randint(1, 3)))
         for _ in range(n)
     ]
+
+
+def reference_reorder(rosters):
+    """The greedy pass folding every candidate order in full."""
+    n = len(rosters)
+    sets = [set(r) for r in rosters]
+    if n <= 1:
+        return SceneOrder(tuple(range(n)), 0.0)
+    dist = [[1.0 - iou(a, b) for b in sets] for a in sets]
+    shares = [[bool(sets[i] & sets[j]) for j in range(n)] for i in range(n)]
+
+    def fold(perm):
+        total = 0.0
+        for a, b in zip(perm, perm[1:]):
+            total += dist[a][b]
+        return total
+
+    perm = list(range(n))
+    current = fold(perm)
+    moved = True
+    while moved:
+        moved = False
+        for p in range(1, n):
+            scene = perm[p]
+            dest = 0
+            for t in range(p - 1, -1, -1):
+                if shares[perm[t]][scene]:
+                    dest = t + 1
+                    break
+            if dest == p:
+                continue
+            candidate = perm[:dest] + [scene] + perm[dest:p] + perm[p + 1:]
+            cost = fold(candidate)
+            if cost < current:
+                perm = candidate
+                current = cost
+                moved = True
+                break
+    return SceneOrder(tuple(perm), current)
+
+
+def small_pool_rosters(rng: random.Random, n: int) -> list[set[str]]:
+    # 1-4 names and empty rosters: many equal distances, so exact ties
+    # and near-ties reach the delta screen
+    pool = NAMES[: rng.randint(1, 4)]
+    return [set(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(n)]
 
 
 def positions(perm):
@@ -131,3 +179,42 @@ def test_order_to_dict_reports_both_costs():
         "original_cost": 2.0,
         "reordered_cost": 1.0,
     }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_screened_greedy_equals_full_fold_greedy(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(60):
+        rosters = small_pool_rosters(rng, rng.randint(0, 80))
+        order = reorder(rosters)
+        expected = reference_reorder(rosters)
+        assert order.permutation == expected.permutation
+        assert order.cost.hex() == expected.cost.hex()
+
+
+def test_distance_matrix_equals_pairwise_iou_exactly():
+    rng = random.Random(41)
+    for _ in range(200):
+        sets = small_pool_rosters(rng, rng.randint(1, 12)) + random_rosters(rng, 3)
+        dist, shares = _distances(sets)
+        assert dist == [[1.0 - iou(a, b) for b in sets] for a in sets]
+        assert all(type(d) is float for row in dist for d in row)
+        assert shares == [[bool(a & b) for b in sets] for a in sets]
+
+
+def test_screen_skips_folding_moves_that_cannot_improve(monkeypatch):
+    folds = []
+    real_fold = reordering._fold
+
+    def counting_fold(dist, perm):
+        folds.append(tuple(perm))
+        return real_fold(dist, perm)
+
+    monkeypatch.setattr(reordering, "_fold", counting_fold)
+    # the one legal move puts B in front and raises the cost from 1 to 2
+    assert reorder([{"Alice"}, {"Alice"}, {"Bob"}, {"Bob"}]).permutation == (0, 1, 2, 3)
+    assert folds == [(0, 1, 2, 3)]
+    # disjoint casts tie on every move: each is folded, none is kept
+    folds.clear()
+    assert reorder([{"Alice"}, {"Bob"}, {"Charlie"}]).permutation == (0, 1, 2)
+    assert folds == [(0, 1, 2), (1, 0, 2), (2, 0, 1)]

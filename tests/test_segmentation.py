@@ -1,7 +1,9 @@
 """Scene segmentation: span costs, the prefix DP, and exhaustive oracles."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,8 @@ from conftest import make_transcript
 from scenefuse.errors import EmptyTranscript, InvalidCount, TooLarge
 from scenefuse.model import Transcript, scene_roster
 from scenefuse.segmentation import (
+    _span_columns,
+    _tables,
     brute_force_partition,
     codebook_cost,
     effective_partition,
@@ -54,6 +58,44 @@ def reference_optimum(transcript, n_total: int):
         if best is None or key < best:
             best = key
     return best
+
+
+def reference_dp(transcript, n_speakers=None):
+    """The prefix DP as a double loop over the dense span cost matrix."""
+    table = span_costs(transcript, n_speakers)
+    costs = table.costs
+    m = len(transcript.lines)
+
+    best_cost = [0.0] * (m + 1)
+    best_nscenes = [0] * (m + 1)
+    best_breaks = [()] * (m + 1)
+    for j in range(1, m + 1):
+        found_cost = math.inf
+        found_nscenes = 0
+        found_breaks = ()
+        for i in range(j):
+            cand_cost = best_cost[i] + costs[i, j]
+            if cand_cost > found_cost:
+                continue
+            cand_nscenes = best_nscenes[i] + 1
+            if cand_cost == found_cost:
+                if cand_nscenes > found_nscenes:
+                    continue
+                cand_breaks = best_breaks[i] + (i,) if i else ()
+                if cand_nscenes == found_nscenes and cand_breaks >= found_breaks:
+                    continue
+            else:
+                cand_breaks = best_breaks[i] + (i,) if i else ()
+            found_cost = cand_cost
+            found_nscenes = cand_nscenes
+            found_breaks = cand_breaks
+        best_cost[j] = found_cost
+        best_nscenes[j] = found_nscenes
+        best_breaks[j] = found_breaks
+
+    bounds = [0, *best_breaks[m], m]
+    scene_costs = [float(costs[a, b]) for a, b in zip(bounds, bounds[1:])]
+    return best_breaks[m], scene_costs, float(best_cost[m])
 
 
 def test_codebook_cost_matches_binomials():
@@ -246,3 +288,87 @@ def test_to_dict_round_trips_the_interesting_fields():
     assert data["total_cost_bits"] == part.total_cost
     assert [s["start"] for s in data["scenes"]] == [s.start for s in part.scenes]
     assert all(s["roster"] == sorted(s["roster"]) for s in data["scenes"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_optimal_matches_reference_double_loop_bitwise(seed):
+    # few speakers make exact cost ties frequent, so the tie rule is
+    # exercised far beyond what the brute-force sizes reach
+    rng = random.Random(100 + seed)
+    for _ in range(8):
+        m = rng.randint(20, 300)
+        t = random_transcript(rng, m, rng.randint(1, 3))
+        n_speakers = rng.choice([None, len(t.roster) + rng.randint(0, 3)])
+        breaks, scene_costs, total = reference_dp(t, n_speakers)
+        part = optimal_partition(t, n_speakers)
+        assert part.breaks == breaks
+        assert [s.cost_bits for s in part.scenes] == scene_costs
+        assert part.total_cost.hex() == total.hex()
+        assert [s.roster for s in part.scenes] == [
+            scene_roster(t, s.start, s.end) for s in part.scenes
+        ]
+
+
+def test_exact_ties_across_scene_counts_prefer_fewer_scenes():
+    # (3,) and (1, 2, 5) cost exactly the same; the lexicographically
+    # smaller tuple loses because it has more scenes
+    t = make_transcript(list("ABACAB"))
+    part = optimal_partition(t)
+    assert part.breaks == (3,)
+    assert partition_from_breaks(t, (1, 2, 5)).total_cost == part.total_cost
+    assert brute_force_partition(t) == part
+    # every three-speaker transcript of six lines, where such ties abound
+    for names in itertools.product("ABC", repeat=6):
+        t = make_transcript(list(names))
+        for n_speakers in (None, 4):
+            breaks, _, total = reference_dp(t, n_speakers)
+            part = optimal_partition(t, n_speakers)
+            assert (part.breaks, part.total_cost) == (breaks, total)
+
+
+def test_partition_from_breaks_costs_match_the_span_matrix():
+    rng = random.Random(23)
+    for _ in range(30):
+        m = rng.randint(1, 80)
+        t = random_transcript(rng, m, rng.randint(1, 4))
+        n_speakers = rng.choice([None, len(t.roster) + 2])
+        breaks = sorted(rng.sample(range(1, m), rng.randint(0, m - 1))) if m > 1 else []
+        part = partition_from_breaks(t, breaks, n_speakers)
+        costs = span_costs(t, n_speakers).costs
+        bounds = [0, *breaks, m]
+        expected = [float(costs[a, b]) for a, b in zip(bounds, bounds[1:])]
+        assert [s.cost_bits for s in part.scenes] == expected
+        total = 0.0
+        for cost in expected:
+            total += cost
+        assert part.total_cost.hex() == total.hex()
+
+
+def test_dp_columns_are_the_span_matrix_columns():
+    rng = random.Random(29)
+    for _ in range(20):
+        m = rng.randint(1, 120)
+        t = random_transcript(rng, m, rng.randint(1, 4))
+        n_speakers = rng.choice([None, len(t.roster) + 1])
+        table = span_costs(t, n_speakers)
+        seen = []
+        for j, counts, costs in _span_columns(t, _tables(t, n_speakers)):
+            assert counts.tobytes() == table.counts[:j, j].tobytes()
+            assert costs.tobytes() == table.costs[:j, j].tobytes()
+            seen.append(j)
+        assert seen == list(range(1, m + 1))
+
+
+def test_optimal_partition_memory_is_linear_in_lines():
+    rng = random.Random(31)
+    names = [f"S{k}" for k in range(16)]
+    t = make_transcript([rng.choice(names) for _ in range(4000)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        optimal_partition(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense span table alone would be 4001^2 float64 cells, ~122 MiB
+    assert peak < 10 * 2**20

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: segment, align, reorder, captions clean, summarize,
-evaluate, stats scene-split, stats welch. Results print to stdout as
-JSON (or plain text for summaries); pipeline artifacts persist under
---out. Exit codes: 0 success, 2 config error, 3 backend error, 4 data
-error.
+evaluate, stats scene-split, stats welch. The first four are views: they
+call the pipeline's stage functions under the --config that summarize
+would use. Results print to stdout as JSON (or plain text for
+summaries); pipeline artifacts persist under --out. Exit codes: 0
+success, 2 config error, 3 backend error, 4 data error.
 """
 
 from __future__ import annotations
@@ -15,20 +16,23 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alignment import dtw_align, scene_time_spans, spans_to_dicts
-from .backends import build_backends
-from .captions import load_lexicon, postprocess_captions
+from .alignment import spans_to_dicts
 from .errors import BackendError, ConfigError, DataError
-from .model import Episode, load_episode
+from .model import Episode, Partition, load_episode
 from .pipeline import (
     PipelineConfig,
+    compute_alignment,
+    compute_captions,
+    compute_order,
+    compute_partition,
+    compute_spans,
     config_from_dict,
+    read_summary,
     run_eval,
     run_pipeline,
-    uniform_chunk_breaks,
 )
-from .reordering import order_to_dict, reorder
-from .segmentation import effective_partition, optimal_partition, partition_from_breaks
+from .reordering import order_to_dict
+from .segmentation import optimal_partition
 from .stats import (
     SampleStats,
     ari,
@@ -47,7 +51,8 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1))
 
 
-def _raw_config(args) -> tuple[dict, Path]:
+def _pipeline_config(args) -> PipelineConfig:
+    raw, base = {}, Path.cwd()
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -56,12 +61,7 @@ def _raw_config(args) -> tuple[dict, Path]:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return raw, path.parent
-    return {}, Path.cwd()
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    raw, base = _raw_config(args)
+        base = path.parent
     return config_from_dict(raw, base, args.out or DEFAULT_OUT, mock=args.mock)
 
 
@@ -71,62 +71,40 @@ def _episode(args) -> Episode:
     return load_episode(args.episode)
 
 
+def _partitioned(args) -> tuple[Episode, PipelineConfig, Partition]:
+    episode = _episode(args)
+    config = _pipeline_config(args)
+    return episode, config, compute_partition(episode, config)
+
+
 def cmd_segment(args) -> int:
     episode = _episode(args)
-    if args.uniform_chunks:
-        partition = partition_from_breaks(
-            episode.transcript, uniform_chunk_breaks(episode.transcript)
-        )
-    else:
-        partition = effective_partition(episode.transcript)
-    _print_json(partition.to_dict())
+    config = _pipeline_config(args)
+    config.uniform_chunks |= args.uniform_chunks
+    _print_json(compute_partition(episode, config).to_dict())
     return 0
 
 
 def cmd_align(args) -> int:
-    episode = _episode(args)
-    if episode.captions is None:
-        raise DataError(f"episode {episode.id} has no caption track")
-    partition = effective_partition(episode.transcript)
-    alignment = dtw_align(
-        [ln.text for ln in episode.transcript.lines],
-        [cue.text for cue in episode.captions.cues],
-    )
-    spans = scene_time_spans(partition, alignment, episode.captions)
+    episode, _, partition = _partitioned(args)
+    alignment = compute_alignment(episode)
+    spans = compute_spans(episode, partition, alignment)
     _print_json({"alignment": alignment.to_dict(), "spans": spans_to_dicts(spans)})
     return 0
 
 
 def cmd_reorder(args) -> int:
-    episode = _episode(args)
-    partition = effective_partition(episode.transcript)
-    rosters = [scene.roster for scene in partition.scenes]
-    _print_json(order_to_dict(rosters, reorder(rosters)))
+    _, config, partition = _partitioned(args)
+    order = compute_order(partition, config)
+    _print_json(order_to_dict([scene.roster for scene in partition.scenes], order))
     return 0
 
 
 def cmd_captions_clean(args) -> int:
-    episode = _episode(args)
+    episode, config, partition = _partitioned(args)
     if episode.precomputed_captions is None:
         raise DataError(f"episode {episode.id} has no captions.visual.json")
-    raw, base = _raw_config(args)
-    lexicon_path = raw.get("lexicon")
-    lexicon = load_lexicon(base / lexicon_path) if lexicon_path else load_lexicon()
-    partition = effective_partition(episode.transcript)
-    rows = []
-    for i, scene in enumerate(partition.scenes):
-        sentences = (
-            [episode.precomputed_captions[i]]
-            if i < len(episode.precomputed_captions)
-            else []
-        )
-        rows.append(
-            {
-                "scene_index": i,
-                "sentences": postprocess_captions(sentences, scene.roster, lexicon),
-            }
-        )
-    _print_json(rows)
+    _print_json([c.to_dict() for c in compute_captions(episode, partition, config)])
     return 0
 
 
@@ -144,13 +122,7 @@ def cmd_evaluate(args) -> int:
     if args.summary_file:
         summary = Path(args.summary_file).read_text(encoding="utf-8").strip()
     else:
-        persisted = config.out_dir / episode.id / "summary.txt"
-        if not persisted.is_file():
-            raise DataError(
-                f"no summary to evaluate: pass --summary-file or run summarize first "
-                f"(looked for {persisted})"
-            )
-        summary = persisted.read_text(encoding="utf-8").strip()
+        summary = read_summary(episode, config)
     report = run_eval(episode, summary, config)
     _print_json(report.to_dict())
     return 0

@@ -119,6 +119,15 @@ class Partition:
             "total_cost_bits": self.total_cost,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Partition":
+        """Inverse of to_dict; the derived "breaks" are ignored."""
+        scenes = tuple(
+            Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"])
+            for s in data["scenes"]
+        )
+        return cls(scenes, data["total_cost_bits"])
+
 
 @dataclass(frozen=True)
 class Episode:

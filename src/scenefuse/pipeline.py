@@ -1,10 +1,13 @@
 """End-to-end episode processing.
 
 Stage order: segment, align, caption, scene-summarize, reorder, fuse.
-Every stage's output is persisted under the output directory before the
-next stage runs; a rerun loads whatever already exists, so deleting one
-artifact re-executes exactly that stage. An artifact that does not
-decode (truncated, not JSON, missing fields) is recomputed the same way.
+Each stage is one compute_* function of the episode or partition and
+the config; the CLI views call the same functions. Every stage's output
+is persisted under the output directory before the next stage runs, as
+JSON in the format its domain type's to_dict/from_dict define, or as
+text. A rerun loads whatever already exists, so deleting one artifact
+re-executes exactly that stage. An artifact that does not decode
+(truncated, not JSON, missing fields) is recomputed the same way.
 Artifacts are written through a temp file and os.replace, so a crash
 leaves the old file or none, never half of one. Ablation flags drop a
 stage and its content from the fusion input.
@@ -15,8 +18,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import backends as be
 from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans, spans_to_dicts
@@ -28,8 +32,6 @@ from .reordering import SceneOrder, order_cost, order_to_dict, reorder
 from .segmentation import effective_partition, partition_from_breaks
 
 UNIFORM_CHUNK_TOKENS = 1024
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -61,7 +63,6 @@ class EpisodeArtifacts:
     fusion_input: str
     final_summary: str
     out_dir: Path
-    prefs_report: PrefsReport | None = None
 
 
 def config_from_dict(
@@ -188,174 +189,174 @@ def assemble_fusion_input(
     return render()
 
 
+def compute_partition(episode: Episode, config: PipelineConfig) -> Partition:
+    """Token windows under uniform_chunks, else the markers or the MDL optimum."""
+    transcript = episode.transcript
+    if config.uniform_chunks:
+        return partition_from_breaks(transcript, uniform_chunk_breaks(transcript))
+    return effective_partition(transcript)
+
+
+def compute_alignment(episode: Episode) -> Alignment:
+    if episode.captions is None:
+        raise DataError(f"episode {episode.id} has no caption track")
+    return dtw_align(
+        [ln.text for ln in episode.transcript.lines],
+        [cue.text for cue in episode.captions.cues],
+    )
+
+
+def compute_spans(episode: Episode, partition: Partition, alignment: Alignment) -> list[TimeSpan]:
+    return scene_time_spans(partition, alignment, episode.captions)
+
+
+def compute_captions(
+    episode: Episode, partition: Partition, config: PipelineConfig
+) -> list[SceneCaption]:
+    """Each scene's precomputed visual caption, cleaned against its roster."""
+    pre = episode.precomputed_captions or ()
+    captions: list[SceneCaption] = []
+    for i, scene in enumerate(partition.scenes):
+        cleaned = postprocess_captions(pre[i:i + 1], scene.roster, config.lexicon)
+        captions.append(SceneCaption(i, tuple(cleaned)))
+    return captions
+
+
+def compute_summaries(
+    episode: Episode, partition: Partition, config: PipelineConfig
+) -> list[str]:
+    lines = episode.transcript.lines
+
+    def one(scene: Scene) -> str:
+        dialogue = [(ln.speaker, ln.text) for ln in lines[scene.start:scene.end]]
+        return be.summarize_scene(dialogue, config.backends)
+
+    workers = max(1, min(config.max_workers, len(partition.scenes)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, partition.scenes))
+
+
+def compute_order(partition: Partition, config: PipelineConfig) -> SceneOrder:
+    rosters = [scene.roster for scene in partition.scenes]
+    if config.skip_reorder:
+        return SceneOrder(tuple(range(len(rosters))), order_cost(rosters))
+    return reorder(rosters)
+
+
+def compute_final_summary(fusion_input: str, config: PipelineConfig) -> str:
+    return config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip()
+
+
+class Codec(NamedTuple):
+    """A JSON artifact's format: value to JSON tree, and back."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+def _each(convert: Callable[[Any], Any], items: Iterable) -> list:
+    return [convert(item) for item in items]
+
+
+_PARTITION = Codec(Partition.to_dict, Partition.from_dict)
+_ALIGNMENT = Codec(Alignment.to_dict, Alignment.from_dict)
+_SPANS = Codec(spans_to_dicts, partial(_each, TimeSpan.from_dict))
+_CAPTIONS = Codec(partial(_each, SceneCaption.to_dict), partial(_each, SceneCaption.from_dict))
+_SUMMARIES = Codec(list, list)
+_TEXT = None  # a text artifact is its text plus one closing newline
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 
-def _stage(
-    path: Path, compute: Callable[[], T], serialize: Callable[[T], str],
-    deserialize: Callable[[str], T], name: str,
-) -> T:
-    if path.exists():
-        try:
-            return deserialize(path.read_text(encoding="utf-8"))
-        except (ValueError, KeyError, TypeError, IndexError):
-            pass  # corrupt or truncated: recompute and overwrite it
-    try:
-        value = compute()
-    except ScenefuseError as exc:
-        raise type(exc)(f"stage {name}: {exc}") from exc
-    be.write_atomic(path, serialize(value))
-    return value
-
-
-def _text_from_file(text: str) -> str:
-    # text artifacts end with the one newline their writer appends; a
-    # file without it was cut short
+def _decode(text: str, codec: Codec | None):
+    if codec is not None:
+        return codec.decode(json.loads(text))
+    # a text artifact without its closing newline was cut short
     if not text.endswith("\n"):
         raise ValueError("text artifact lacks its closing newline")
     return text[:-1]
 
 
-def _partition_from_dict(data: dict) -> Partition:
-    scenes = tuple(
-        Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"])
-        for s in data["scenes"]
-    )
-    return Partition(scenes, data["total_cost_bits"])
+def _stage(path: Path, name: str, codec: Codec | None, compute: Callable, *args):
+    """compute(*args), persisted at path; a file there that decodes wins."""
+    if path.exists():
+        try:
+            return _decode(path.read_text(encoding="utf-8"), codec)
+        except (ValueError, KeyError, TypeError, IndexError):
+            pass  # corrupt or truncated: recompute and overwrite it
+    try:
+        value = compute(*args)
+    except ScenefuseError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
+    be.write_atomic(path, value + "\n" if codec is None else _dumps(codec.encode(value)))
+    return value
 
 
-def _alignment_from_dict(data: dict) -> Alignment:
-    return Alignment(tuple((l, c) for l, c in data["path"]), data["total_cost"])
-
-
-def _order_from_dict(data: dict) -> SceneOrder:
-    return SceneOrder(tuple(data["permutation"]), data["reordered_cost"])
+def read_summary(episode: Episode, config: PipelineConfig) -> str:
+    """The summary a run persisted, decoded as the fuse stage decodes it."""
+    path = config.out_dir / episode.id / "summary.txt"
+    if not path.is_file():
+        raise DataError(
+            f"no summary to evaluate: pass --summary-file or run summarize first "
+            f"(looked for {path})"
+        )
+    try:
+        return _decode(path.read_text(encoding="utf-8"), _TEXT)
+    except ValueError as exc:
+        raise DataError(f"{path} is cut short or unreadable ({exc}); rerun summarize") from exc
 
 
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
     """Execute all stages for one episode, reusing persisted artifacts."""
     out = config.out_dir / episode.id
     out.mkdir(parents=True, exist_ok=True)
-    transcript = episode.transcript
-
-    def compute_partition() -> Partition:
-        if config.uniform_chunks:
-            return partition_from_breaks(transcript, uniform_chunk_breaks(transcript))
-        return effective_partition(transcript)
 
     partition = _stage(
-        out / "partition.json", compute_partition,
-        lambda p: _dumps(p.to_dict()),
-        lambda text: _partition_from_dict(json.loads(text)),
-        "segment",
+        out / "partition.json", "segment", _PARTITION, compute_partition, episode, config
     )
-    scenes = partition.scenes
 
     alignment = None
     time_spans = None
     if episode.captions is not None:
         alignment = _stage(
-            out / "alignment.json",
-            lambda: dtw_align(
-                [ln.text for ln in transcript.lines],
-                [cue.text for cue in episode.captions.cues],
-            ),
-            lambda a: _dumps(a.to_dict()),
-            lambda text: _alignment_from_dict(json.loads(text)),
-            "align",
+            out / "alignment.json", "align", _ALIGNMENT, compute_alignment, episode
         )
         time_spans = _stage(
-            out / "spans.json",
-            lambda: scene_time_spans(partition, alignment, episode.captions),
-            lambda spans: _dumps(spans_to_dicts(spans)),
-            lambda text: [
-                TimeSpan(d["start_ms"], d["end_ms"]) for d in json.loads(text)
-            ],
-            "align",
+            out / "spans.json", "align", _SPANS,
+            compute_spans, episode, partition, alignment,
         )
-
-    def compute_captions() -> list[SceneCaption]:
-        captions: list[SceneCaption] = []
-        pre = episode.precomputed_captions
-        for i, scene in enumerate(scenes):
-            raw = (
-                be.caption_scene([pre[i]], precomputed=True)
-                if pre is not None and i < len(pre)
-                else []
-            )
-            cleaned = postprocess_captions(raw, scene.roster, config.lexicon)
-            captions.append(SceneCaption(i, tuple(cleaned), source="precomputed"))
-        return captions
 
     scene_captions: list[SceneCaption] = []
     if not config.skip_vision:
         scene_captions = _stage(
-            out / "captions.json", compute_captions,
-            lambda caps: _dumps([c.to_dict() for c in caps]),
-            lambda text: [
-                SceneCaption(d["scene_index"], tuple(d["sentences"]))
-                for d in json.loads(text)
-            ],
-            "caption",
+            out / "captions.json", "caption", _CAPTIONS,
+            compute_captions, episode, partition, config,
         )
-
-    def compute_summaries() -> list[str]:
-        def one(scene: Scene) -> str:
-            lines = [
-                (ln.speaker, ln.text)
-                for ln in transcript.lines[scene.start:scene.end]
-            ]
-            return be.summarize_scene(lines, config.backends)
-
-        workers = max(1, min(config.max_workers, len(scenes)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, scenes))
 
     scene_summaries: list[str] = []
     if not config.skip_transcript:
         scene_summaries = _stage(
-            out / "summaries.json", compute_summaries,
-            lambda s: _dumps(s),
-            lambda text: list(json.loads(text)),
-            "summarize",
+            out / "summaries.json", "summarize", _SUMMARIES,
+            compute_summaries, episode, partition, config,
         )
 
-    rosters = [scene.roster for scene in scenes]
-
-    def compute_order() -> SceneOrder:
-        if config.skip_reorder:
-            return SceneOrder(tuple(range(len(scenes))), order_cost(rosters))
-        return reorder(rosters)
-
+    rosters = [scene.roster for scene in partition.scenes]
     order = _stage(
-        out / "order.json", compute_order,
-        lambda o: _dumps(order_to_dict(rosters, o)),
-        lambda text: _order_from_dict(json.loads(text)),
-        "reorder",
+        out / "order.json", "reorder",
+        Codec(partial(order_to_dict, rosters), SceneOrder.from_dict),
+        compute_order, partition, config,
     )
 
     fusion_input = _stage(
-        out / "fusion_input.txt",
-        lambda: assemble_fusion_input(
-            scene_summaries or [None] * len(scenes),
-            [list(c.sentences) for c in scene_captions]
-            if scene_captions
-            else [[] for _ in scenes],
-            order,
-            config.context_budget,
-        ),
-        lambda text: text + "\n",
-        _text_from_file,
-        "fuse-input",
+        out / "fusion_input.txt", "fuse-input", _TEXT, assemble_fusion_input,
+        scene_summaries, [c.sentences for c in scene_captions], order,
+        config.context_budget,
     )
 
     final_summary = _stage(
-        out / "summary.txt",
-        lambda: config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip(),
-        lambda text: text + "\n",
-        _text_from_file,
-        "fuse",
+        out / "summary.txt", "fuse", _TEXT, compute_final_summary, fusion_input, config
     )
 
     return EpisodeArtifacts(

@@ -80,6 +80,14 @@ class SceneOrder:
     permutation: tuple[int, ...]
     cost: float
 
+    def to_dict(self) -> dict:
+        return {"permutation": list(self.permutation), "reordered_cost": self.cost}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SceneOrder":
+        """Inverse of to_dict; an "original_cost" beside the fields is ignored."""
+        return cls(tuple(data["permutation"]), data["reordered_cost"])
+
 
 def _distances(sets: list[set[str]]) -> tuple[list[list[float]], list[list[bool]]]:
     """1 - IOU and shares-a-character for every ordered scene pair."""
@@ -189,8 +197,4 @@ def brute_force_reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
 
 
 def order_to_dict(rosters: Sequence[Iterable[str]], order: SceneOrder) -> dict:
-    return {
-        "permutation": list(order.permutation),
-        "original_cost": order_cost(rosters),
-        "reordered_cost": order.cost,
-    }
+    return {**order.to_dict(), "original_cost": order_cost(rosters)}

@@ -139,6 +139,19 @@ Nick: Because they approved it too quickly.
 Brooke: You think someone wants us distracted.
 """
 
+# Two scenes that share a cast around one that does not: reordering moves
+# the middle scene to the front.
+INTERLEAVED = """\
+Brody: The garden looks great.
+Jessica: It really does.
+[SCENE_BREAK]
+Dante: The dock is empty.
+Bridget: Completely empty.
+[SCENE_BREAK]
+Brody: Back to the garden plans.
+Jessica: With better weather this time.
+"""
+
 EPISODE_VISUAL = [
     "a man and a woman are standing near a garden",
     "a man is talking to another man",
@@ -149,11 +162,11 @@ EPISODE_VISUAL = [
 ]
 
 
-def episode_captions() -> str:
+def episode_captions(transcript: str = EPISODE_TRANSCRIPT) -> str:
     """SRT track that echoes each transcript line, 2 seconds per cue."""
     lines = [
         line.split(": ", 1)[1]
-        for line in EPISODE_TRANSCRIPT.splitlines()
+        for line in transcript.splitlines()
         if ": " in line
     ]
     blocks = []

@@ -135,5 +135,5 @@ def test_lexicon_is_shared_frozen_data():
 
 
 def test_scene_caption_to_dict():
-    cap = SceneCaption(2, ("Brody waves",), source="precomputed")
+    cap = SceneCaption(2, ("Brody waves",))
     assert cap.to_dict() == {"scene_index": 2, "sentences": ["Brody waves"]}

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from conftest import EPISODE_TRANSCRIPT, EPISODE_VISUAL, episode_captions, write_episode
+from conftest import (
+    EPISODE_TRANSCRIPT,
+    EPISODE_VISUAL,
+    INTERLEAVED,
+    episode_captions,
+    write_episode,
+)
 from scenefuse.cli import main
 
 GOLD = ["Brooke sails away tonight."]
@@ -116,6 +122,69 @@ def test_summarize_recomputes_a_truncated_artifact(capsys, tmp_path, episode_dir
     assert partition.read_bytes() == intact
 
 
+def read_artifact(out_dir, name):
+    return json.loads((out_dir / "ep1" / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    ("transcript", "raw"),
+    [
+        (EPISODE_TRANSCRIPT, {"uniform_chunks": True}),
+        (INTERLEAVED, {"skip_reorder": True}),
+        (INTERLEAVED, {}),
+        (EPISODE_TRANSCRIPT, {"lexicon": "names.tsv"}),
+    ],
+    ids=["uniform_chunks", "skip_reorder", "reordered", "lexicon"],
+)
+def test_views_print_what_summarize_persists(capsys, tmp_path, transcript, raw):
+    episode = write_episode(
+        tmp_path / "ep1", transcript,
+        captions=episode_captions(transcript), visual=EPISODE_VISUAL,
+    )
+    # a lexicon that knows none of the speakers: no name is inserted
+    (tmp_path / "names.tsv").write_text("Somebody\tm\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out_dir = tmp_path / "artifacts"
+    common = ("--config", config, "--episode", episode, "--out", out_dir)
+    code, _, err = run(capsys, *common, "summarize")
+    assert code == 0, err
+
+    partition = run_json(capsys, *common, "segment")
+    assert partition == read_artifact(out_dir, "partition.json")
+    align = run_json(capsys, *common, "align")
+    assert align == {
+        "alignment": read_artifact(out_dir, "alignment.json"),
+        "spans": read_artifact(out_dir, "spans.json"),
+    }
+    order = run_json(capsys, *common, "reorder")
+    assert order == read_artifact(out_dir, "order.json")
+    captions = run_json(capsys, *common, "captions", "clean")
+    assert captions == read_artifact(out_dir, "captions.json")
+    # one row per scene of the partition the config asks for
+    assert len(align["spans"]) == len(captions) == len(partition["scenes"])
+    if "uniform_chunks" in raw:
+        # 18 lines fit one token window, where the markers make 3 scenes
+        assert partition["breaks"] == []
+    if transcript is INTERLEAVED:
+        expected = [0, 1, 2] if "skip_reorder" in raw else [1, 0, 2]
+        assert order["permutation"] == expected
+    if "lexicon" in raw:
+        assert captions[0]["sentences"] == ["a man and a woman are standing near a garden"]
+
+
+@pytest.mark.parametrize(
+    "command", [["segment"], ["align"], ["reorder"], ["captions", "clean"]]
+)
+def test_views_reject_a_malformed_config(capsys, tmp_path, episode_dir, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    code, out, err = run(capsys, "--config", bad, "--episode", episode_dir, *command)
+    assert code == 2
+    assert out == ""
+    assert "not valid JSON" in err
+
+
 def test_evaluate_with_a_summary_file(capsys, tmp_path, episode_dir):
     summary = tmp_path / "candidate.txt"
     summary.write_text("Nick owns a boat. Brooke sails away.\n", encoding="utf-8")
@@ -140,6 +209,21 @@ def test_evaluate_uses_the_persisted_summary(capsys, tmp_path, episode_dir):
         "fact_precision", "fact_recall", "prefs",
         "precision_counts", "recall_counts", "recall_per_reference",
     }
+
+
+def test_evaluate_refuses_a_cut_summary(capsys, tmp_path, episode_dir):
+    out_dir = tmp_path / "artifacts"
+    code, _, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 0, err
+    summary = out_dir / "ep1" / "summary.txt"
+    intact = summary.read_bytes()
+    summary.write_bytes(intact[: len(intact) // 2])
+
+    code, out, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "evaluate")
+    assert code == 4
+    assert out == ""
+    assert "rerun summarize" in err
+    assert not (out_dir / "ep1" / "prefs.json").exists()
 
 
 def test_evaluate_without_any_summary(capsys, tmp_path, episode_dir):

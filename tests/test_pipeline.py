@@ -1,5 +1,6 @@
 """Pipeline orchestration: staging, resumability, budgets, and ablations."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     EPISODE_TRANSCRIPT,
     EPISODE_VISUAL,
+    INTERLEAVED,
     build_mock_backends,
     episode_captions,
     make_transcript,
@@ -207,6 +209,51 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# sha256 of each stage file for the standard episode under the offline
+# mocks. A change to any artifact's format, or to a stage's result, fails
+# here; update these only on purpose.
+STAGE_SHA256 = {
+    "partition.json": "f8b97b7de4743c332e9f3028ad89688b1672f7fdbc92c1bd0ce9329bdc63befa",
+    "alignment.json": "dc28bbab7b7bc5b80f90caa43e709af2c4cecb1d450bff36105d190394c0159a",
+    "spans.json": "9540d299e65dabb95f882065ac31cf10754031b5bce5e43ab8cadecbbb544968",
+    "captions.json": "bce8df2796a7c4d1e0deeea63fcc4b6d4bd67e2b3b6a20c816583dce066fc236",
+    "summaries.json": "56d73d78e4f87da0e0191dd3a4bff7f89423533443e3e35c61467fccac6b2f28",
+    "order.json": "f45fcbdfb1db9891d2f47b623e7ebc4fbe0fa3561319801401d2c34c8a0ecda9",
+    "fusion_input.txt": "2e32c0de451949286dcff61245225c3184eb609556ae6da76f85ac6098d7d7ff",
+    "summary.txt": "9f385a3fd99b06e476385fe10dc5f99c84ce0a61caae6070ad0b3e43fd8350e8",
+}
+
+
+def test_stage_files_keep_their_bytes(tmp_path):
+    episode = standard_episode(tmp_path)
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run_pipeline(episode, config)
+    out = tmp_path / "out" / "ep1"
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STAGE_FILES
+    }
+    assert digests == STAGE_SHA256
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"uniform_chunks": True}, {"skip_reorder": True}, {"skip_vision": True}],
+    ids=["default", "uniform_chunks", "skip_reorder", "skip_vision"],
+)
+def test_resumed_run_equals_the_cold_run(tmp_path, flags):
+    episode = standard_episode(tmp_path)
+    backends = build_uncached_backends()
+    config = PipelineConfig(backends=backends, out_dir=tmp_path / "out", **flags)
+    cold = run_pipeline(episode, config)
+    calls = backends.upstream_calls
+    resumed = run_pipeline(episode, config)
+    # every stage came from its file
+    assert backends.upstream_calls == calls
+    assert resumed == cold
+
+
 def test_pipeline_resumes_from_persisted_artifacts(tmp_path):
     episode = standard_episode(tmp_path)
     backends = build_uncached_backends()
@@ -330,16 +377,6 @@ def test_pipeline_uniform_chunks_replaces_the_segmenter(tmp_path):
     assert [(s.start, s.end) for s in artifacts.partition.scenes] == [(0, 18)]
 
 
-INTERLEAVED = """\
-Brody: The garden looks great.
-Jessica: It really does.
-[SCENE_BREAK]
-Dante: The dock is empty.
-Bridget: Completely empty.
-[SCENE_BREAK]
-Brody: Back to the garden plans.
-Jessica: With better weather this time.
-"""
 
 
 def test_pipeline_reorder_groups_shared_casts(tmp_path):

@@ -20,7 +20,8 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
@@ -30,6 +31,8 @@ from .errors import (
     ConfigError,
     EmptyCompletion,
     QuotaExceeded,
+    read_json,
+    read_text,
 )
 
 DIALOGUE_SUMMARIZER = "dialogue_summarizer"
@@ -50,11 +53,17 @@ MALFORMED_SIGNAL = "MALFORMED"
 
 @dataclass(frozen=True)
 class BackendRequest:
+    """One completion; ``variables`` (read-only) were rendered into ``prompt``."""
+
     role: str
     prompt: str
     model_name: str = "default"
     max_output_tokens: int = 512
     temperature: float = 0.0
+    variables: Mapping[str, str] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -68,7 +77,7 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def cache_key(request: BackendRequest) -> str:
-    """sha256 over every request field; any byte difference separates keys."""
+    """sha256 over every field but ``variables``; any byte difference separates keys."""
     payload = json.dumps(
         {
             "role": request.role,
@@ -101,25 +110,13 @@ class RateLimiter:
 
 
 class MockTransport:
-    """Deterministic in-process transport.
+    """Deterministic in-process transport: ``respond(request)`` is the completion."""
 
-    ``responses`` is either an exact prompt -> completion table or a
-    callable prompt -> completion.
-    """
-
-    def __init__(self, responses: dict[str, str] | Callable[[str], str], name: str = "mock"):
-        self._responses = responses
-        self.name = name
+    def __init__(self, respond: Callable[[BackendRequest], str]):
+        self.respond = respond
 
     def send(self, request: BackendRequest) -> str:
-        if callable(self._responses):
-            return self._responses(request.prompt)
-        try:
-            return self._responses[request.prompt]
-        except KeyError:
-            raise BackendUnavailable(
-                f"{self.name}: no mock response for prompt {request.prompt[:80]!r}"
-            ) from None
+        return self.respond(request)
 
 
 class HttpTransport:
@@ -292,6 +289,7 @@ class Backends:
             model_name=rt.model_name,
             max_output_tokens=rt.max_output_tokens,
             temperature=rt.temperature,
+            variables=variables,
         )
         return rt.client.complete(request, refresh=refresh)
 
@@ -310,32 +308,19 @@ def default_template(role: str) -> str:
 # ---------------------------------------------------------------------------
 # Deterministic mock behaviors
 # ---------------------------------------------------------------------------
-# The payload regexes mirror the shipped default templates; custom
-# templates need custom mocks.
-
-_SCENE_PAYLOAD = re.compile(r"^(.*?)\n\nSummary:", re.DOTALL | re.MULTILINE)
-_NOTES_PAYLOAD = re.compile(r"\n\n(.*)\n\nEpisode summary:", re.DOTALL)
-_SENTENCE_PAYLOAD = re.compile(r"Sentence: (.*)\nFacts:", re.DOTALL)
-_JUDGE_PAYLOAD = re.compile(r"Reference:\n(.*)\nFact: (.*)\nAnswer:", re.DOTALL)
-_IMAGE_PAYLOAD = re.compile(r"Image: (.*)$", re.DOTALL)
+# Each mock reads the variables its role's template is rendered from, so
+# it answers the same under any prompt_template.
 
 
-def _payload(pattern: re.Pattern, prompt: str) -> str:
-    match = pattern.search(prompt)
-    if match is None:
-        raise BackendUnavailable(f"mock could not locate payload in {prompt[:80]!r}")
-    return match.group(match.re.groups)
-
-
-def _normalize_fact(text: str) -> str:
+def normalize_fact(text: str) -> str:
+    """Lowercase, collapse whitespace, strip terminal punctuation."""
     return re.sub(r"[.!?]+$", "", " ".join(text.split())).lower()
 
 
-def _mock_dialogue_summary(prompt: str) -> str:
-    scene = _payload(_SCENE_PAYLOAD, prompt)
+def _mock_dialogue_summary(request: BackendRequest) -> str:
     speakers: list[str] = []
     first_utterance = ""
-    for line in scene.splitlines():
+    for line in request.variables["scene"].splitlines():
         name, _, text = line.partition(":")
         if not _:
             continue
@@ -348,31 +333,26 @@ def _mock_dialogue_summary(prompt: str) -> str:
     return f"{cast} talk. It begins with: {first_utterance}".strip()
 
 
-def _mock_fusion_summary(prompt: str) -> str:
-    notes = _payload(_NOTES_PAYLOAD, prompt)
-    words = notes.split()
+def _mock_fusion_summary(request: BackendRequest) -> str:
+    words = request.variables["notes"].split()
     return "Episode recap: " + " ".join(words[:60])
 
 
-def _mock_fact_extractor(prompt: str) -> str:
+def _mock_fact_extractor(request: BackendRequest) -> str:
     # one fact: the sentence itself
-    return _payload(_SENTENCE_PAYLOAD, prompt).strip()
+    return request.variables["sentence"].strip()
 
 
-def _mock_fact_judge(prompt: str) -> str:
-    match = _JUDGE_PAYLOAD.search(prompt)
-    if match is None:
-        raise BackendUnavailable("mock judge could not parse prompt")
-    reference, fact = match.group(1), match.group(2)
-    return "True" if _normalize_fact(fact) in _normalize_fact(reference) else "False"
+def _mock_fact_judge(request: BackendRequest) -> str:
+    fact, reference = request.variables["fact"], request.variables["reference"]
+    return "True" if normalize_fact(fact) in normalize_fact(reference) else "False"
 
 
-def _mock_vision_captioner(prompt: str) -> str:
-    ref = _payload(_IMAGE_PAYLOAD, prompt).strip()
-    return f"a man and a woman are standing near {ref}"
+def _mock_vision_captioner(request: BackendRequest) -> str:
+    return f"a man and a woman are standing near {request.variables['image'].strip()}"
 
 
-_DEFAULT_MOCKS: dict[str, Callable[[str], str]] = {
+_DEFAULT_MOCKS: dict[str, Callable[[BackendRequest], str]] = {
     DIALOGUE_SUMMARIZER: _mock_dialogue_summary,
     FUSION_SUMMARIZER: _mock_fusion_summary,
     FACT_EXTRACTOR: _mock_fact_extractor,
@@ -382,7 +362,7 @@ _DEFAULT_MOCKS: dict[str, Callable[[str], str]] = {
 
 
 def default_mock_transport(role: str) -> MockTransport:
-    return MockTransport(_DEFAULT_MOCKS[role], name=f"mock-{role}")
+    return MockTransport(_DEFAULT_MOCKS[role])
 
 
 def fixture_transport(fixture: dict) -> MockTransport:
@@ -395,24 +375,18 @@ def fixture_transport(fixture: dict) -> MockTransport:
     extractions = {
         " ".join(k.split()): v for k, v in fixture.get("extractions", {}).items()
     }
-    verdicts = {_normalize_fact(k): v for k, v in fixture.get("verdicts", {}).items()}
+    verdicts = {normalize_fact(k): v for k, v in fixture.get("verdicts", {}).items()}
 
-    def handler(prompt: str) -> str:
-        sentence_match = _SENTENCE_PAYLOAD.search(prompt)
-        if sentence_match is not None:
-            sentence = " ".join(sentence_match.group(1).split())
-            if sentence not in extractions:
-                raise BackendUnavailable(f"fixture has no extraction for {sentence!r}")
-            value = extractions[sentence]
-            if value == MALFORMED_SIGNAL:
-                return MALFORMED_SIGNAL
-            return "\n".join(value)
-        judge_match = _JUDGE_PAYLOAD.search(prompt)
-        if judge_match is not None:
-            return "True" if verdicts.get(_normalize_fact(judge_match.group(2)), False) else "False"
-        raise BackendUnavailable("fixture mock could not parse prompt")
+    def handler(request: BackendRequest) -> str:
+        if request.role == FACT_JUDGE:
+            return "True" if verdicts.get(normalize_fact(request.variables["fact"])) else "False"
+        sentence = " ".join(request.variables["sentence"].split())
+        if sentence not in extractions:
+            raise BackendUnavailable(f"fixture has no extraction for {sentence!r}")
+        value = extractions[sentence]
+        return value if value == MALFORMED_SIGNAL else "\n".join(value)
 
-    return MockTransport(handler, name="mock-fixture")
+    return MockTransport(handler)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +427,15 @@ def caption_scene(
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
+def config_number(config: dict, key: str, default, kind: type):
+    """``kind(config[key])``, or ``default`` when absent; a bad value is a ConfigError."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
 def build_backends(
     config: dict | None = None,
     mock: bool = False,
@@ -482,9 +465,9 @@ def build_backends(
     fixture_path = config.get("mock_fixture")
     if fixture_path:
         path = base / fixture_path
-        if not path.is_file():
-            raise ConfigError(f"mock_fixture file not found: {path}")
-        fixture = json.loads(path.read_text(encoding="utf-8"))
+        fixture = read_json(path, ConfigError, "mock_fixture")
+        if not isinstance(fixture, dict):
+            raise ConfigError(f"mock_fixture {path} must hold a JSON object")
 
     backends = Backends()
     for role in ROLES:
@@ -502,19 +485,19 @@ def build_backends(
             transport = HttpTransport(endpoint, role_cfg.get("auth_env"))
         template_path = role_cfg.get("prompt_template")
         if template_path:
-            template = (base / template_path).read_text(encoding="utf-8")
+            template = read_text(base / template_path, ConfigError, "prompt_template")
         else:
             template = default_template(role)
         client = BackendClient(
             transport,
             cache_dir=cache_root / role if cache_root else None,
-            rate_limit=role_cfg.get("rate_limit"),
+            rate_limit=config_number(role_cfg, "rate_limit", 0.0, float),
         )
         backends.roles[role] = RoleRuntime(
             client=client,
             template=template,
             model_name=role_cfg.get("model_name", "default"),
-            max_output_tokens=int(role_cfg.get("max_output_tokens", 512)),
-            temperature=float(role_cfg.get("temperature", 0.0)),
+            max_output_tokens=config_number(role_cfg, "max_output_tokens", 512, int),
+            temperature=config_number(role_cfg, "temperature", 0.0, float),
         )
     return backends

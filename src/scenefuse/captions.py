@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError, read_text
 
 # Captions containing any of these are uninformative and dropped.
 BLACKLIST_PHRASES = (
@@ -68,7 +68,7 @@ def load_lexicon(path: str | Path | None = None) -> GenderLexicon:
             .read_text(encoding="utf-8")
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(Path(path), ConfigError, "lexicon")
     male: set[str] = set()
     female: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .alignment import spans_to_dicts
-from .errors import BackendError, ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError, read_json, read_text
 from .model import Episode, Partition, load_episode
 from .pipeline import (
     PipelineConfig,
@@ -57,10 +57,7 @@ def _pipeline_config(args) -> PipelineConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = read_json(path, ConfigError, "config")
         base = path.parent
     return config_from_dict(raw, base, args.out or DEFAULT_OUT, mock=args.mock)
 
@@ -120,7 +117,7 @@ def cmd_evaluate(args) -> int:
     episode = _episode(args)
     config = _pipeline_config(args)
     if args.summary_file:
-        summary = Path(args.summary_file).read_text(encoding="utf-8").strip()
+        summary = read_text(Path(args.summary_file), ConfigError, "--summary-file").strip()
     else:
         summary = read_summary(episode, config)
     report = run_eval(episode, summary, config)

@@ -1,8 +1,12 @@
 """Exception hierarchy.
 
 Three broad families map onto CLI exit codes: configuration problems (2),
-backend/transport problems (3), and data problems (4).
+backend/transport problems (3), and data problems (4). ``read_text`` and
+``read_json`` turn a file that cannot be read into the caller's family.
 """
+
+import json
+from pathlib import Path
 
 
 class ScenefuseError(Exception):
@@ -79,3 +83,21 @@ class QuotaExceeded(BackendError):
 
 class EmptyCompletion(BackendError):
     """The backend returned a blank completion where text was required."""
+
+
+def read_text(path: Path, error: type[ScenefuseError], what: str) -> str:
+    """UTF-8 text of ``path``; a missing, unreadable or undecodable file raises ``error``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def read_json(path: Path, error: type[ScenefuseError], what: str):
+    """Parsed JSON of ``path``; an unreadable or invalid file raises ``error``."""
+    try:
+        return json.loads(read_text(path, error, what))
+    except ValueError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -7,12 +7,11 @@ warning rather than raised as errors.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, EmptyTranscript, NoCues, RangeOutOfBounds
+from .errors import DataError, EmptyTranscript, NoCues, RangeOutOfBounds, read_json, read_text
 
 SCENE_BREAK_TOKEN = "[SCENE_BREAK]"
 
@@ -258,19 +257,19 @@ def load_episode(directory: str | Path) -> Episode:
     transcript_path = root / "transcript.txt"
     if not transcript_path.is_file():
         raise DataError(f"{transcript_path} not found")
-    transcript = parse_transcript(transcript_path.read_text(encoding="utf-8"))
+    transcript = parse_transcript(read_text(transcript_path, DataError, "bundle file"))
 
     captions = None
     for name in ("captions.srt", "captions.tsv"):
         path = root / name
         if path.is_file():
-            captions = parse_captions(path.read_text(encoding="utf-8"))
+            captions = parse_captions(read_text(path, DataError, "bundle file"))
             break
 
     precomputed = None
     visual_path = root / "captions.visual.json"
     if visual_path.is_file():
-        loaded = json.loads(visual_path.read_text(encoding="utf-8"))
+        loaded = read_json(visual_path, DataError, "bundle file")
         if not isinstance(loaded, list) or not all(isinstance(s, str) for s in loaded):
             raise DataError(f"{visual_path} must be a JSON array of strings")
         precomputed = tuple(loaded)
@@ -279,7 +278,7 @@ def load_episode(directory: str | Path) -> Episode:
     gold_dir = root / "gold"
     if gold_dir.is_dir():
         for path in sorted(gold_dir.glob("*.txt")):
-            text = path.read_text(encoding="utf-8").strip()
+            text = read_text(path, DataError, "bundle file").strip()
             if text and text not in gold:
                 gold.append(text)
 

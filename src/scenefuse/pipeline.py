@@ -84,12 +84,12 @@ def config_from_dict(
     return PipelineConfig(
         backends=be.build_backends(raw, mock=mock, base_dir=base),
         out_dir=Path(out_dir),
-        context_budget=int(raw.get("context_budget", 4096)),
+        context_budget=be.config_number(raw, "context_budget", 4096, int),
         skip_reorder=bool(raw.get("skip_reorder", False)),
         skip_vision=bool(raw.get("skip_vision", False)),
         skip_transcript=bool(raw.get("skip_transcript", False)),
         uniform_chunks=bool(raw.get("uniform_chunks", False)),
-        max_workers=int(raw.get("max_workers", 4)),
+        max_workers=be.config_number(raw, "max_workers", 4, int),
         lexicon=load_lexicon(base / lexicon_path) if lexicon_path else load_lexicon(),
     )
 

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import backends as be
+from .backends import normalize_fact
 from .errors import BackendError, DataError, NoFactsAfterFiltering
 
 GENERATED = "generated"
@@ -104,11 +105,6 @@ class PrefsReport:
 
 def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT_RE.split(text.strip()) if s]
-
-
-def normalize_fact(text: str) -> str:
-    """Lowercase, collapse whitespace, strip terminal punctuation."""
-    return re.sub(r"[.!?]+$", "", " ".join(text.split())).lower()
 
 
 def extract_facts(summary: str, backends: be.Backends, origin: str = GENERATED) -> list[Fact]:

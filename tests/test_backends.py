@@ -81,13 +81,35 @@ def test_cache_key_separates_every_field():
     assert len(keys) == len(variants) + 1
 
 
-def test_mock_transport_table_and_callable():
-    table = MockTransport({"ping": "pong"})
-    assert table.send(request("ping")) == "pong"
-    with pytest.raises(BackendUnavailable):
-        table.send(request("unknown"))
-    fn = MockTransport(str.upper)
-    assert fn.send(request("abc")) == "ABC"
+PINNED_KEY = "f1b1abf1c1c63870ae30d75bf4b5b755244e6254ac6504cfdd2a19521780d0cb"
+
+
+def test_cache_key_is_pinned():
+    # a changed digest would orphan every existing cache entry
+    assert cache_key(request()) == PINNED_KEY
+
+
+def test_request_variables_are_a_read_only_copy_outside_the_cache_key():
+    variables = {"scene": "A: hi"}
+    req = request(variables=variables)
+    assert cache_key(req) == PINNED_KEY
+    variables["scene"] = "changed"
+    assert req.variables == {"scene": "A: hi"}
+    with pytest.raises(TypeError):
+        req.variables["scene"] = "changed"
+
+
+def test_mock_transport_passes_the_whole_request(tmp_path):
+    seen = []
+    backends = build_mock_backends(tmp_path)
+    backends.roles[FACT_JUDGE].client.transport = MockTransport(
+        lambda req: seen.append(req) or "True"
+    )
+    assert backends.complete(FACT_JUDGE, reference="Ref text.", fact="A fact") == "True"
+    (req,) = seen
+    assert req.role == FACT_JUDGE
+    assert dict(req.variables) == {"reference": "Ref text.", "fact": "A fact"}
+    assert "Ref text." in req.prompt and "A fact" in req.prompt
 
 
 def test_client_caches_by_request_digest(tmp_path):
@@ -142,7 +164,7 @@ def test_corrupt_cache_entry_is_a_miss_and_gets_repaired(tmp_path, damage):
 def test_refresh_bypasses_the_cached_completion(tmp_path):
     replies = iter(["stale", "fresh", "unused"])
     client = BackendClient(
-        MockTransport(lambda p: next(replies)), cache_dir=tmp_path, backoff=0.0
+        MockTransport(lambda req: next(replies)), cache_dir=tmp_path, backoff=0.0
     )
     assert client.complete(request()) == "stale"
     assert client.complete(request()) == "stale"
@@ -324,6 +346,66 @@ def test_fixture_transport_normalizes_lookups(tmp_path):
         backends.complete(FACT_EXTRACTOR, sentence="Never recorded.")
 
 
+# Other wording, markers in another order, and a colon in the first line.
+CUSTOM_TEMPLATES = {
+    DIALOGUE_SUMMARIZER: "Recap: the dialogue follows.\n{scene}\nWrite the recap now.",
+    FUSION_SUMMARIZER: "Notes: {notes}\n\nCombine them.",
+    FACT_EXTRACTOR: "Task: list the facts of\n{sentence}\nDone:",
+    FACT_JUDGE: "Claim: {fact}\nSource: {reference}\nVerdict:",
+    VISION_CAPTIONER: "Frame: {image}\nDescribe: what is shown.",
+}
+
+MOCK_CASES = [
+    (DIALOGUE_SUMMARIZER, {"scene": format_scene([("Alice", "We go now."), ("Bob", "Agreed.")])}),
+    (FUSION_SUMMARIZER, {"notes": "Alice leaves.\n\nBob stays behind."}),
+    (FACT_EXTRACTOR, {"sentence": " Nick sails away. "}),
+    (FACT_JUDGE, {"reference": "Nick sails away today.", "fact": "Nick sails away"}),
+    (FACT_JUDGE, {"reference": "Unrelated.", "fact": "Nick sails away"}),
+    (VISION_CAPTIONER, {"image": "frame_001.jpg"}),
+]
+
+
+def custom_template_config(tmp_path, roles, **extra) -> dict:
+    for role in roles:
+        (tmp_path / f"{role}.txt").write_text(CUSTOM_TEMPLATES[role], encoding="utf-8")
+    backends = {role: {"prompt_template": f"{role}.txt"} for role in roles}
+    return {"backends": backends, **extra}
+
+
+@pytest.mark.parametrize(
+    ("role", "variables"),
+    MOCK_CASES,
+    ids=["scene", "notes", "sentence", "judge-true", "judge-false", "image"],
+)
+def test_default_mocks_answer_alike_under_a_custom_template(tmp_path, role, variables):
+    shipped = build_backends({}, mock=True, base_dir=tmp_path)
+    custom = build_backends(custom_template_config(tmp_path, [role]), mock=True, base_dir=tmp_path)
+    assert custom.roles[role].template == CUSTOM_TEMPLATES[role]
+    assert custom.complete(role, **variables) == shipped.complete(role, **variables)
+
+
+def test_fixture_transport_answers_alike_under_custom_templates(tmp_path):
+    fixture = {
+        "extractions": {"Nick sails away.": ["Nick owns a boat."], "Garbled.": "MALFORMED"},
+        "verdicts": {"Nick owns a boat.": True},
+    }
+    (tmp_path / "fixture.json").write_text(json.dumps(fixture), encoding="utf-8")
+    shipped = build_backends({"mock_fixture": "fixture.json"}, mock=True, base_dir=tmp_path)
+    config = custom_template_config(
+        tmp_path, [FACT_EXTRACTOR, FACT_JUDGE], mock_fixture="fixture.json"
+    )
+    custom = build_backends(config, mock=True, base_dir=tmp_path)
+    cases = [
+        (FACT_EXTRACTOR, {"sentence": "Nick sails away."}, "Nick owns a boat."),
+        (FACT_EXTRACTOR, {"sentence": "Garbled."}, "MALFORMED"),
+        (FACT_JUDGE, {"reference": "x", "fact": "nick owns a boat"}, "True"),
+        (FACT_JUDGE, {"reference": "Nick owns a boat.", "fact": "Nick sails"}, "False"),
+    ]
+    for role, variables, expected in cases:
+        assert shipped.complete(role, **variables) == expected
+        assert custom.complete(role, **variables) == expected
+
+
 def test_format_scene():
     assert format_scene([("Alice", "hi"), ("Bob", "yo")]) == "Alice: hi\nBob: yo"
 
@@ -340,7 +422,7 @@ def test_summarize_scene_rejects_empties(tmp_path):
     backends = build_mock_backends(tmp_path)
     with pytest.raises(EmptyCompletion):
         summarize_scene([], backends)
-    backends.roles[DIALOGUE_SUMMARIZER].client.transport = MockTransport(lambda p: "  ")
+    backends.roles[DIALOGUE_SUMMARIZER].client.transport = MockTransport(lambda req: "  ")
     with pytest.raises(EmptyCompletion):
         summarize_scene([("Alice", "hi")], backends)
 

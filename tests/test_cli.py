@@ -375,3 +375,96 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("scenefuse ")
+
+
+def write_config(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return ["--config", path]
+
+
+def visual_not_json(episode_dir, tmp_path):
+    (episode_dir / "captions.visual.json").write_text("[not json", encoding="utf-8")
+    return []
+
+
+def transcript_not_utf8(episode_dir, tmp_path):
+    (episode_dir / "transcript.txt").write_bytes(b"\xff\xfeBrody: hi\n")
+    return []
+
+
+def config_not_utf8(episode_dir, tmp_path):
+    (tmp_path / "config.json").write_bytes(b'{"lexicon": "\xff"}')
+    return ["--config", tmp_path / "config.json"]
+
+
+def fixture_not_json(episode_dir, tmp_path):
+    (tmp_path / "fixture.json").write_text("{not json", encoding="utf-8")
+    return write_config(tmp_path, {"mock_fixture": "fixture.json"})
+
+
+@pytest.mark.parametrize(
+    ("prepare", "command", "expected"),
+    [
+        (visual_not_json, ["segment"], 4),
+        (transcript_not_utf8, ["segment"], 4),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"prompt_template": "missing.txt"}}}
+            ),
+            ["segment"],
+            2,
+        ),
+        (fixture_not_json, ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"lexicon": "missing.tsv"}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"context_budget": "lots"}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"max_workers": "four"}), ["segment"], 2),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"max_output_tokens": "many"}}}
+            ),
+            ["segment"],
+            2,
+        ),
+        (config_not_utf8, ["segment"], 2),
+        (lambda ep, tmp: [], ["evaluate", "--summary-file", "missing-summary.txt"], 2),
+    ],
+    ids=[
+        "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
+        "missing-lexicon", "context-budget-not-int", "max-workers-not-int",
+        "max-output-tokens-not-int", "config-not-utf8", "missing-summary-file",
+    ],
+)
+def test_unreadable_inputs_exit_with_their_code(
+    capsys, monkeypatch, tmp_path, episode_dir, prepare, command, expected
+):
+    monkeypatch.chdir(tmp_path)  # where the relative --summary-file is missing
+    args = prepare(episode_dir, tmp_path)
+    code, out, err = run(
+        capsys, *args, "--mock", "--episode", episode_dir, "--out", tmp_path / "out", *command
+    )
+    assert code == expected, err
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("config error: " if expected == 2 else "data error: ")
+
+
+def test_mocks_follow_custom_prompt_templates(capsys, tmp_path, episode_dir):
+    # other wording, markers in another order, a colon in the first line
+    templates = {
+        "dialogue_summarizer": "Dialogue: recap it.\n{scene}\nRecap:",
+        "fact_judge": "Claim: {fact}\nSource: {reference}\nVerdict:",
+    }
+    for role, template in templates.items():
+        (tmp_path / f"{role}.txt").write_text(template, encoding="utf-8")
+    config = write_config(
+        tmp_path, {"backends": {role: {"prompt_template": f"{role}.txt"} for role in templates}}
+    )
+    shipped = ("--mock", "--episode", episode_dir, "--out", tmp_path / "shipped")
+    custom = (*config, "--mock", "--episode", episode_dir, "--out", tmp_path / "custom")
+    for command in ("summarize", "evaluate"):
+        code, expected, err = run(capsys, *shipped, command)
+        assert code == 0, err
+        code, out, err = run(capsys, *custom, command)
+        assert code == 0, err
+        assert out == expected

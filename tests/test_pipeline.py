@@ -328,7 +328,7 @@ def test_pipeline_stage_errors_name_the_stage(tmp_path):
     episode = standard_episode(tmp_path)
     backends = build_uncached_backends()
     backends.roles["dialogue_summarizer"].client.transport = MockTransport(
-        lambda prompt: "   "
+        lambda req: "   "
     )
     config = PipelineConfig(backends=backends, out_dir=tmp_path / "out")
     with pytest.raises(EmptyCompletion, match="^stage summarize: "):

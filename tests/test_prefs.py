@@ -116,7 +116,7 @@ def test_malformed_facts_stay_out_of_the_duplicate_table():
 def test_extract_facts_strips_bullets_and_tracks_sentences(tmp_path):
     backends = build_mock_backends(tmp_path / "cache")
     override_role(
-        backends, FACT_EXTRACTOR, MockTransport(lambda p: "- Fact A.\n* Fact B.\n\n")
+        backends, FACT_EXTRACTOR, MockTransport(lambda req: "- Fact A.\n* Fact B.\n\n")
     )
     facts = extract_facts("First sentence. Second sentence.", backends)
     assert [f.text for f in facts] == ["Fact A.", "Fact B."] * 2
@@ -153,8 +153,8 @@ def test_judge_retries_unparseable_answer_once(tmp_path):
     replies = iter(["perhaps?", "True."])
     calls = []
 
-    def judge(prompt):
-        calls.append(prompt)
+    def judge(req):
+        calls.append(req)
         return next(replies)
 
     backends = build_mock_backends(tmp_path / "cache")
@@ -167,14 +167,14 @@ def test_judge_retries_unparseable_answer_once(tmp_path):
 
 def test_judge_gives_up_after_one_retry(tmp_path):
     backends = build_mock_backends(tmp_path / "cache")
-    override_role(backends, FACT_JUDGE, MockTransport(lambda p: "shrug"))
+    override_role(backends, FACT_JUDGE, MockTransport(lambda req: "shrug"))
     verdict = judge_support(fact("Nick sails away today."), "reference", backends)
     assert verdict.supported is False
 
 
 def test_judge_accepts_quoted_and_punctuated_answers(tmp_path):
     backends = build_mock_backends(tmp_path / "cache")
-    override_role(backends, FACT_JUDGE, MockTransport(lambda p: '"False".'))
+    override_role(backends, FACT_JUDGE, MockTransport(lambda req: '"False".'))
     verdict = judge_support(fact("Nick sails away today."), "reference", backends)
     assert verdict.supported is False
     assert verdict.reason is Reason.JUDGE
@@ -183,7 +183,7 @@ def test_judge_accepts_quoted_and_punctuated_answers(tmp_path):
 def test_malformed_facts_count_as_unsupported_without_judging(tmp_path):
     backends = build_mock_backends(tmp_path / "cache")
 
-    def explode(prompt):
+    def explode(req):
         raise AssertionError("malformed facts must never reach the judge")
 
     override_role(backends, FACT_JUDGE, MockTransport(explode))
@@ -194,7 +194,7 @@ def test_malformed_facts_count_as_unsupported_without_judging(tmp_path):
 
 def test_score_direction_requires_a_surviving_fact(tmp_path):
     backends = build_mock_backends(tmp_path / "cache")
-    override_role(backends, FACT_EXTRACTOR, MockTransport(lambda p: "Two words."))
+    override_role(backends, FACT_EXTRACTOR, MockTransport(lambda req: "Two words."))
     with pytest.raises(NoFactsAfterFiltering):
         score_direction("Only sentence.", "reference", backends)
 

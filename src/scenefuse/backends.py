@@ -370,12 +370,24 @@ def fixture_transport(fixture: dict) -> MockTransport:
 
     Fixture shape: {"extractions": {sentence -> [facts] | "MALFORMED"},
     "verdicts": {fact -> true|false}}. Sentences and facts are matched
-    after whitespace normalization.
+    after whitespace normalization. Any other shape is a ConfigError.
     """
-    extractions = {
-        " ".join(k.split()): v for k, v in fixture.get("extractions", {}).items()
-    }
-    verdicts = {normalize_fact(k): v for k, v in fixture.get("verdicts", {}).items()}
+    extractions = fixture.get("extractions", {})
+    verdicts = fixture.get("verdicts", {})
+    if not (isinstance(extractions, dict) and isinstance(verdicts, dict)):
+        raise ConfigError("mock_fixture 'extractions' and 'verdicts' must be objects")
+    for value in extractions.values():
+        if value != MALFORMED_SIGNAL and not (
+            isinstance(value, list) and all(isinstance(fact, str) for fact in value)
+        ):
+            raise ConfigError(
+                f"mock_fixture extractions must be lists of strings or {MALFORMED_SIGNAL!r},"
+                f" got {value!r}"
+            )
+    if not all(isinstance(verdict, bool) for verdict in verdicts.values()):
+        raise ConfigError("mock_fixture verdicts must be true or false")
+    extractions = {" ".join(k.split()): v for k, v in extractions.items()}
+    verdicts = {normalize_fact(k): v for k, v in verdicts.items()}
 
     def handler(request: BackendRequest) -> str:
         if request.role == FACT_JUDGE:

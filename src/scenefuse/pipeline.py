@@ -65,6 +65,14 @@ class EpisodeArtifacts:
     out_dir: Path
 
 
+def _flag(raw: dict, key: str) -> bool:
+    """A JSON true/false config value, False when absent; anything else is a ConfigError."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(
     raw: dict, base_dir: str | Path, out_dir: str | Path, mock: bool = False
 ) -> PipelineConfig:
@@ -85,10 +93,10 @@ def config_from_dict(
         backends=be.build_backends(raw, mock=mock, base_dir=base),
         out_dir=Path(out_dir),
         context_budget=be.config_number(raw, "context_budget", 4096, int),
-        skip_reorder=bool(raw.get("skip_reorder", False)),
-        skip_vision=bool(raw.get("skip_vision", False)),
-        skip_transcript=bool(raw.get("skip_transcript", False)),
-        uniform_chunks=bool(raw.get("uniform_chunks", False)),
+        skip_reorder=_flag(raw, "skip_reorder"),
+        skip_vision=_flag(raw, "skip_vision"),
+        skip_transcript=_flag(raw, "skip_transcript"),
+        uniform_chunks=_flag(raw, "uniform_chunks"),
         max_workers=be.config_number(raw, "max_workers", 4, int),
         lexicon=load_lexicon(base / lexicon_path) if lexicon_path else load_lexicon(),
     )

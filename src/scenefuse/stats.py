@@ -1,11 +1,14 @@
 """Scene-split agreement metrics and Welch significance statistics.
 
-Labelings are per-line scene ids. ACC solves the optimal cluster
-matching exactly on the contingency table; NMI normalizes mutual
-information by the arithmetic mean of the label entropies; ARI uses the
-pair-counting formula. Welch's t and the Welch-Satterthwaite degrees of
-freedom are evaluated directly from sample means, standard deviations,
-and sizes.
+Labelings are per-line scene ids. ACC is the best one-to-one matching
+of predicted to gold scenes on their contingency table, found by the
+Hungarian method with shortest augmenting paths and dual potentials
+(Kuhn 1955; Jonker & Volgenant 1987). The table holds line counts, so
+every potential and sum is an integer and ACC is exact. NMI normalizes
+mutual information by the arithmetic mean of the label entropies; ARI
+uses the pair-counting formula. Welch's t and the Welch-Satterthwaite
+degrees of freedom are evaluated directly from sample means, standard
+deviations, and sizes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidCount, LengthMismatch, ZeroVariance
 
@@ -53,11 +55,60 @@ def _contingency(pred: Labeling, gold: Labeling) -> np.ndarray:
     return table
 
 
+def _max_matching(table: np.ndarray) -> int:
+    """Largest sum of table[r, c] over one-to-one row-to-column matchings.
+
+    Rows are added one at a time; each takes one shortest augmenting
+    path over the reduced costs -table[r, c] - u[r] - v[c], with column
+    0 as the virtual start of every path.
+    """
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    n, m = table.shape
+    cost = np.zeros((n + 1, m + 1), np.int64)
+    cost[1:, 1:] = -table
+    u = np.zeros(n + 1, np.int64)
+    v = np.zeros(m + 1, np.int64)
+    owner = np.zeros(m + 1, np.int64)  # row holding each column, 0 when free
+    way = np.zeros(m + 1, np.int64)  # previous column on the shortest path
+    inf = np.iinfo(np.int64).max
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = np.full(m + 1, inf, np.int64)
+        used = np.zeros(m + 1, bool)
+        while owner[col]:
+            used[col] = True
+            r = owner[col]
+            reduced = cost[r] - u[r] - v
+            closer = ~used & (reduced < slack)
+            slack[closer] = reduced[closer]
+            way[closer] = col
+            col = int(np.where(used, inf, slack).argmin())
+            delta = slack[col]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:
+            owner[col] = owner[way[col]]
+            col = int(way[col])
+    matched = np.flatnonzero(owner[1:])
+    return int(table[owner[1:][matched] - 1, matched].sum())
+
+
 def clustering_accuracy(pred: Labeling, gold: Labeling) -> float:
     """Best agreement fraction over injective relabelings of pred."""
     table = _contingency(pred, gold)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / float(table.sum())
+    return float(_max_matching(table)) / float(table.sum())
+
+
+def _entropy(counts: list[int], logs: list[float], n: int) -> float:
+    """-sum of (count / n) * log(count / n) over nonzero counts."""
+    h = 0.0
+    for c, lc in zip(counts, logs):
+        if c:
+            h += (c / n) * lc
+    return -h
 
 
 def nmi(pred: Labeling, gold: Labeling) -> float:
@@ -73,16 +124,8 @@ def nmi(pred: Labeling, gold: Labeling) -> float:
     log_row = [math.log(r / n) if r else 0.0 for r in row.tolist()]
     log_col = [math.log(c / n) if c else 0.0 for c in col.tolist()]
 
-    h_row = 0.0
-    for r, lr in zip(row.tolist(), log_row):
-        if r:
-            h_row += (r / n) * lr
-    h_row = -h_row
-    h_col = 0.0
-    for c, lc in zip(col.tolist(), log_col):
-        if c:
-            h_col += (c / n) * lc
-    h_col = -h_col
+    h_row = _entropy(row.tolist(), log_row, n)
+    h_col = _entropy(col.tolist(), log_col, n)
 
     if h_row == 0.0 and h_col == 0.0:
         return 1.0

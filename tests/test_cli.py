@@ -1,6 +1,10 @@
 """Command-line behavior: subcommands, output shapes, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conftest import (
     episode_captions,
     write_episode,
 )
+import scenefuse
 from scenefuse.cli import main
 
 GOLD = ["Brooke sails away tonight."]
@@ -370,6 +375,21 @@ def test_mock_flag_overrides_configured_endpoints(capsys, tmp_path, episode_dir)
     assert out.startswith("Episode recap:")
 
 
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports can hide a load
+    env = dict(os.environ)
+    package_root = str(Path(scenefuse.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, scenefuse.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -403,6 +423,14 @@ def fixture_not_json(episode_dir, tmp_path):
     return write_config(tmp_path, {"mock_fixture": "fixture.json"})
 
 
+def fixture_holding(fixture):
+    def prepare(episode_dir, tmp_path):
+        (tmp_path / "fixture.json").write_text(json.dumps(fixture), encoding="utf-8")
+        return write_config(tmp_path, {"mock_fixture": "fixture.json"})
+
+    return prepare
+
+
 @pytest.mark.parametrize(
     ("prepare", "command", "expected"),
     [
@@ -416,6 +444,13 @@ def fixture_not_json(episode_dir, tmp_path):
             2,
         ),
         (fixture_not_json, ["segment"], 2),
+        (fixture_holding({"extractions": []}), ["segment"], 2),
+        (fixture_holding({"verdicts": ["A fact."]}), ["segment"], 2),
+        (fixture_holding({"extractions": {"A line.": "A fact."}}), ["segment"], 2),
+        (fixture_holding({"extractions": {"A line.": ["A fact.", 7]}}), ["segment"], 2),
+        (fixture_holding({"verdicts": {"A fact.": "true"}}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"skip_reorder": "false"}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"uniform_chunks": 1}), ["segment"], 2),
         (lambda ep, tmp: write_config(tmp, {"lexicon": "missing.tsv"}), ["segment"], 2),
         (lambda ep, tmp: write_config(tmp, {"context_budget": "lots"}), ["segment"], 2),
         (lambda ep, tmp: write_config(tmp, {"max_workers": "four"}), ["segment"], 2),
@@ -431,6 +466,9 @@ def fixture_not_json(episode_dir, tmp_path):
     ],
     ids=[
         "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
+        "fixture-extractions-not-object", "fixture-verdicts-not-object",
+        "fixture-extraction-not-list", "fixture-extraction-not-strings",
+        "fixture-verdict-not-bool", "skip-reorder-string", "uniform-chunks-int",
         "missing-lexicon", "context-budget-not-int", "max-workers-not-int",
         "max-output-tokens-not-int", "config-not-utf8", "missing-summary-file",
     ],

@@ -163,12 +163,30 @@ class HttpTransport:
             raise BackendUnavailable(f"{self.endpoint}: malformed response body") from exc
 
 
+class _Flight:
+    """One cache read or upstream fetch that concurrent callers share."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.completion: str | None = None
+        self.error: BaseException | None = None
+
+    def wait(self) -> str:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.completion
+
+
 class BackendClient:
     """One transport plus cache, retry, and rate limiting.
 
     ``calls`` counts completed upstream requests; cache hits leave it
     untouched. Cache entries are one JSON file per request digest,
     written to a temp name and renamed so concurrent writers are safe.
+    Concurrent callers of one request share a single flight: one of them
+    reads the cache and, on a miss, calls upstream; the others wait for
+    its completion or its exception.
     """
 
     def __init__(
@@ -186,6 +204,7 @@ class BackendClient:
         self.backoff = backoff
         self.calls = 0
         self._lock = threading.Lock()
+        self._flights: dict[str, _Flight] = {}
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -226,12 +245,35 @@ class BackendClient:
         write_atomic(self._cache_path(digest), json.dumps(record, ensure_ascii=False, indent=1))
 
     def complete(self, request: BackendRequest, refresh: bool = False) -> str:
-        """Cached completion; ``refresh`` forces one fresh upstream call."""
+        """Cached completion; ``refresh`` forces one fresh upstream call.
+
+        A ``refresh`` call neither joins nor leads a shared flight.
+        """
         digest = cache_key(request)
-        if not refresh:
-            cached = self._cache_read(digest)
-            if cached is not None:
-                return cached
+        if refresh:
+            return self._fetch(digest, request)
+        with self._lock:
+            flight = self._flights.get(digest)
+            leader = flight is None
+            if leader:
+                flight = self._flights[digest] = _Flight()
+        if not leader:
+            return flight.wait()
+        try:
+            flight.completion = self._cache_read(digest)
+            if flight.completion is None:
+                flight.completion = self._fetch(digest, request)
+            return flight.completion
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._flights[digest]
+            flight.done.set()
+
+    def _fetch(self, digest: str, request: BackendRequest) -> str:
+        """One upstream completion, retried on BackendUnavailable, then cached."""
         last_error: BackendUnavailable | None = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -500,10 +542,13 @@ def build_backends(
             template = read_text(base / template_path, ConfigError, "prompt_template")
         else:
             template = default_template(role)
+        rate_limit = config_number(role_cfg, "rate_limit", 0.0, float)
+        if rate_limit < 0:
+            raise ConfigError(f"rate_limit for {role!r} must be >= 0, got {rate_limit}")
         client = BackendClient(
             transport,
             cache_dir=cache_root / role if cache_root else None,
-            rate_limit=config_number(role_cfg, "rate_limit", 0.0, float),
+            rate_limit=rate_limit,
         )
         backends.roles[role] = RoleRuntime(
             client=client,

@@ -50,6 +50,8 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if self.context_budget <= 0:
             raise ConfigError(f"context_budget must be > 0, got {self.context_budget}")
+        if self.max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
 
 
 @dataclass

@@ -10,16 +10,19 @@ percentages is the headline score.
 
 from __future__ import annotations
 
+import itertools
 import re
 import string
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from . import backends as be
 from .backends import normalize_fact
-from .errors import BackendError, DataError, NoFactsAfterFiltering
+from .errors import BackendError, DataError, NoFactsAfterFiltering, ScenefuseError
 
 GENERATED = "generated"
 REFERENCE = "reference"
@@ -107,12 +110,18 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT_RE.split(text.strip()) if s]
 
 
-def extract_facts(summary: str, backends: be.Backends, origin: str = GENERATED) -> list[Fact]:
-    """Per-sentence extraction; a MALFORMED reply yields one flagged fact."""
+def _read_facts(
+    sentences: Sequence[str], replies: Iterable[Callable[[], str]], origin: str
+) -> list[Fact]:
+    """Facts from each sentence's extractor reply; a MALFORMED reply yields one flagged fact.
+
+    ``replies`` yields one thunk per sentence, called in sentence order;
+    the first that raises a BackendError names its sentence.
+    """
     facts: list[Fact] = []
-    for i, sentence in enumerate(split_sentences(summary)):
+    for i, (sentence, reply) in enumerate(zip(sentences, replies)):
         try:
-            completion = backends.complete(be.FACT_EXTRACTOR, sentence=sentence)
+            completion = reply()
         except BackendError as exc:
             raise type(exc)(f"fact extraction failed at sentence {i}: {exc}") from exc
         if completion.strip() == be.MALFORMED_SIGNAL:
@@ -123,6 +132,13 @@ def extract_facts(summary: str, backends: be.Backends, origin: str = GENERATED) 
             if fact_text:
                 facts.append(Fact(fact_text, origin, i))
     return facts
+
+
+def extract_facts(summary: str, backends: be.Backends, origin: str = GENERATED) -> list[Fact]:
+    """Per-sentence extraction, one request after another."""
+    sentences = split_sentences(summary)
+    replies = (partial(backends.complete, be.FACT_EXTRACTOR, sentence=s) for s in sentences)
+    return _read_facts(sentences, replies, origin)
 
 
 def _word_count(text: str) -> int:
@@ -197,6 +213,111 @@ def judge_support(fact: Fact, reference: str, backends: be.Backends) -> FactVerd
     return FactVerdict(fact, bool(answer), Reason.JUDGE)
 
 
+def _judge_in_turn(
+    facts: Sequence[Fact], reference: str, backends: be.Backends
+) -> list[FactVerdict | ScenefuseError]:
+    """judge_support for each fact in order; the first error ends the list.
+
+    Repeats of one judge request run here in turn, as a serial loop would
+    run them, so a repeat sees the cache entry an earlier refresh retry left.
+    """
+    outcomes: list[FactVerdict | ScenefuseError] = []
+    for fact in facts:
+        try:
+            outcomes.append(judge_support(fact, reference, backends))
+        except ScenefuseError as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _tally(
+    facts: Sequence[Fact], keep: Sequence[bool], survivor_verdicts: Sequence[FactVerdict]
+) -> tuple[float, FactCounts, list[FactVerdict]]:
+    verdict_iter = iter(survivor_verdicts)
+    verdicts = [
+        next(verdict_iter) if k else FactVerdict(f, False, Reason.FILTERED)
+        for f, k in zip(facts, keep)
+    ]
+    supported = sum(1 for v in survivor_verdicts if v.supported)
+    counts = FactCounts(
+        extracted=len(facts),
+        filtered=len(survivor_verdicts),
+        judged=sum(1 for v in survivor_verdicts if v.reason is Reason.JUDGE),
+        supported=supported,
+    )
+    return 100.0 * supported / len(survivor_verdicts), counts, verdicts
+
+
+def _score_directions(
+    directions: Sequence[tuple[str, str, str]], backends: be.Backends, max_workers: int
+) -> list[tuple[float, FactCounts, list[FactVerdict]]]:
+    """Score each (source text, knowledge text, origin) direction over one thread pool.
+
+    Every extraction request is submitted first; then, once each
+    direction's facts are filtered and marked for duplicates, every judge
+    request left. No task waits on another, so the pool cannot deadlock.
+    Repeated sentences share one upstream call through the client's single
+    flight; repeats of a judge request run in turn in one task. Verdicts,
+    upstream calls and the error raised first are those of scoring the
+    directions one after another. The pool starts at most one thread per
+    submitted task, up to ``max_workers``.
+    """
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        try:
+            sentences = [split_sentences(source) for source, _, _ in directions]
+            extractions = [
+                [pool.submit(backends.complete, be.FACT_EXTRACTOR, sentence=s) for s in group]
+                for group in sentences
+            ]
+            screened = []
+            failure: ScenefuseError | None = None
+            for (_, _, origin), group, futures in zip(directions, sentences, extractions):
+                try:
+                    facts = _read_facts(group, [f.result for f in futures], origin)
+                    keep = [_passes_filter(f) for f in facts]
+                    survivors = [f for f, k in zip(facts, keep) if k]
+                    if not survivors:
+                        raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
+                except ScenefuseError as exc:
+                    # serially, the directions before this one are judged first
+                    failure = exc
+                    for future in itertools.chain.from_iterable(extractions):
+                        future.cancel()
+                    break
+                screened.append((facts, keep, survivors, mark_duplicates(survivors)))
+
+            repeats: dict[tuple[str, str], list[Fact]] = {}
+            for (_, knowledge, _), (_, _, survivors, stubs) in zip(directions, screened):
+                for fact, stub in zip(survivors, stubs):
+                    if stub is None:
+                        repeats.setdefault((knowledge, fact.text), []).append(fact)
+            judged = {
+                key: pool.submit(_judge_in_turn, facts, key[0], backends)
+                for key, facts in repeats.items()
+            }
+
+            turn: Counter[tuple[str, str]] = Counter()
+            results = []
+            for (_, knowledge, _), (facts, keep, survivors, stubs) in zip(directions, screened):
+                survivor_verdicts = []
+                for fact, stub in zip(survivors, stubs):
+                    if stub is None:
+                        key = (knowledge, fact.text)
+                        stub = judged[key].result()[turn[key]]
+                        turn[key] += 1
+                        if isinstance(stub, ScenefuseError):
+                            raise stub
+                    survivor_verdicts.append(stub)
+                results.append(_tally(facts, keep, survivor_verdicts))
+            if failure is not None:
+                raise failure
+            return results
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def score_direction(
     source_text: str,
     knowledge_text: str,
@@ -210,41 +331,8 @@ def score_direction(
     The denominator is every fact surviving the filter, Duplicate and
     Malformed included.
     """
-    facts = extract_facts(source_text, backends, origin)
-    keep = [_passes_filter(f) for f in facts]
-    survivors = [f for f, k in zip(facts, keep) if k]
-    if not survivors:
-        raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
-
-    stubs = mark_duplicates(survivors)
-    pending = [i for i, stub in enumerate(stubs) if stub is None]
-    judged: dict[int, FactVerdict] = {}
-    if pending:
-        workers = max(1, min(max_workers, len(pending)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda i: (i, judge_support(survivors[i], knowledge_text, backends)),
-                pending,
-            )
-            judged = dict(results)
-
-    survivor_verdicts = [
-        stub if stub is not None else judged[i] for i, stub in enumerate(stubs)
-    ]
-    verdict_iter = iter(survivor_verdicts)
-    verdicts = [
-        next(verdict_iter) if k else FactVerdict(f, False, Reason.FILTERED)
-        for f, k in zip(facts, keep)
-    ]
-
-    supported = sum(1 for v in survivor_verdicts if v.supported)
-    counts = FactCounts(
-        extracted=len(facts),
-        filtered=len(survivors),
-        judged=sum(1 for v in survivor_verdicts if v.reason is Reason.JUDGE),
-        supported=supported,
-    )
-    return 100.0 * supported / len(survivors), counts, verdicts
+    [result] = _score_directions([(source_text, knowledge_text, origin)], backends, max_workers)
+    return result
 
 
 def fact_precision(
@@ -286,15 +374,13 @@ def prefs_multi_reference(
     if not references:
         raise DataError("at least one reference summary is required")
     knowledge = "\n\n".join(references)
-    precision_pct, precision_counts, _ = score_direction(
-        generated, knowledge, backends, GENERATED, max_workers
+    directions = [(generated, knowledge, GENERATED)]
+    directions += [(ref, generated, REFERENCE) for ref in references]
+    (precision_pct, precision_counts, _), *recalls = _score_directions(
+        directions, backends, max_workers
     )
-    recall_pcts: list[float] = []
-    recall_counts: list[FactCounts] = []
-    for ref in references:
-        pct, counts, _ = score_direction(ref, generated, backends, REFERENCE, max_workers)
-        recall_pcts.append(pct)
-        recall_counts.append(counts)
+    recall_pcts = [pct for pct, _, _ in recalls]
+    recall_counts = [counts for _, counts, _ in recalls]
     recall_pct = sum(recall_pcts) / len(recall_pcts)
     return PrefsReport(
         fact_precision=precision_pct,

@@ -206,6 +206,93 @@ def test_client_never_retries_fatal_errors(error):
     assert transport.attempts == 1
 
 
+class GatedTransport:
+    """Counts sends; each send waits for ``gate``, then answers or raises ``error``."""
+
+    def __init__(self, error: Exception | None = None):
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.error = error
+        self.sends = 0
+        self._lock = threading.Lock()
+
+    def send(self, req: BackendRequest) -> str:
+        with self._lock:
+            self.sends += 1
+        self.entered.set()
+        assert self.gate.wait(timeout=10)
+        if self.error is not None:
+            raise self.error
+        return f"echo: {req.prompt}"
+
+
+def run_threads(count: int, target) -> list:
+    """``target()`` in ``count`` threads; their results or exceptions, in order."""
+    outcomes = [None] * count
+
+    def worker(i):
+        try:
+            outcomes[i] = target()
+        except Exception as exc:  # handed back to the test thread
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def join_all(threads) -> None:
+    deadline = time.monotonic() + 10
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_concurrent_misses_of_one_request_share_one_send(tmp_path):
+    transport = GatedTransport()
+    client = BackendClient(transport, cache_dir=tmp_path, backoff=0.0)
+    threads, outcomes = run_threads(8, lambda: client.complete(request()))
+    assert transport.entered.wait(timeout=10)
+    time.sleep(0.05)  # let the other threads reach the flight
+    transport.gate.set()
+    join_all(threads)
+    assert outcomes == ["echo: hello"] * 8
+    assert transport.sends == 1
+    assert client.calls == 1
+
+
+def test_refresh_sends_while_the_same_request_is_in_flight(tmp_path):
+    transport = GatedTransport()
+    client = BackendClient(transport, cache_dir=tmp_path, backoff=0.0)
+    threads, outcomes = run_threads(1, lambda: client.complete(request()))
+    assert transport.entered.wait(timeout=10)
+    refreshed, fresh = run_threads(1, lambda: client.complete(request(), refresh=True))
+    deadline = time.monotonic() + 10
+    while transport.sends < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert transport.sends == 2  # the refresh did not wait for the flight
+    transport.gate.set()
+    join_all(threads + refreshed)
+    assert outcomes == fresh == ["echo: hello"]
+    assert client.calls == 2
+
+
+def test_a_failing_leader_releases_its_followers(tmp_path):
+    transport = GatedTransport(error=AuthError("denied"))
+    client = BackendClient(transport, cache_dir=tmp_path, backoff=0.0)
+    threads, outcomes = run_threads(6, lambda: client.complete(request()))
+    assert transport.entered.wait(timeout=10)
+    time.sleep(0.05)
+    transport.gate.set()
+    join_all(threads)
+    assert all(isinstance(outcome, AuthError) for outcome in outcomes), outcomes
+    assert client.calls == 0
+    # nothing was cached and no flight is left behind: the next call sends again
+    transport.error = None
+    assert client.complete(request()) == "echo: hello"
+
+
 def test_rate_limiter_spaces_out_acquisitions():
     limiter = RateLimiter(50)  # 20ms interval
     started = time.monotonic()

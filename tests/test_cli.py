@@ -454,6 +454,13 @@ def fixture_holding(fixture):
         (lambda ep, tmp: write_config(tmp, {"lexicon": "missing.tsv"}), ["segment"], 2),
         (lambda ep, tmp: write_config(tmp, {"context_budget": "lots"}), ["segment"], 2),
         (lambda ep, tmp: write_config(tmp, {"max_workers": "four"}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"max_workers": 0}), ["summarize"], 2),
+        (lambda ep, tmp: write_config(tmp, {"max_workers": -3}), ["evaluate"], 2),
+        (
+            lambda ep, tmp: write_config(tmp, {"backends": {"fact_judge": {"rate_limit": -2}}}),
+            ["evaluate"],
+            2,
+        ),
         (
             lambda ep, tmp: write_config(
                 tmp, {"backends": {"fact_judge": {"max_output_tokens": "many"}}}
@@ -470,6 +477,7 @@ def fixture_holding(fixture):
         "fixture-extraction-not-list", "fixture-extraction-not-strings",
         "fixture-verdict-not-bool", "skip-reorder-string", "uniform-chunks-int",
         "missing-lexicon", "context-budget-not-int", "max-workers-not-int",
+        "max-workers-zero", "max-workers-negative", "rate-limit-negative",
         "max-output-tokens-not-int", "config-not-utf8", "missing-summary-file",
     ],
 )

@@ -1,21 +1,33 @@
 """Fact extraction, filtering, judging, and the harmonic-mean score."""
 
+import random
+import threading
+import time
+import zlib
+from collections import Counter
+
 import pytest
 
-from conftest import build_mock_backends
+from conftest import build_fixture_backends, build_mock_backends
 from scenefuse.backends import (
     FACT_EXTRACTOR,
     FACT_JUDGE,
+    MALFORMED_SIGNAL,
     BackendClient,
     MockTransport,
     RoleRuntime,
     default_template,
     fixture_transport,
 )
-from scenefuse.errors import BackendUnavailable, DataError, NoFactsAfterFiltering
+from scenefuse.errors import BackendUnavailable, DataError, NoFactsAfterFiltering, ScenefuseError
 from scenefuse.prefs import (
     BLACKLIST_TERMS,
+    GENERATED,
+    REFERENCE,
     Fact,
+    FactCounts,
+    FactVerdict,
+    PrefsReport,
     Reason,
     extract_facts,
     fact_precision,
@@ -283,3 +295,276 @@ def test_prefs_multi_reference_averages_recall(prefs_fixture, fixture_backends):
 def test_prefs_multi_reference_requires_references(fixture_backends):
     with pytest.raises(DataError):
         prefs_multi_reference("Summary.", [], fixture_backends)
+
+
+# ---------------------------------------------------------------------------
+# One pool for every direction against the directions one after another
+# ---------------------------------------------------------------------------
+
+
+def reference_direction(source, knowledge, backends, origin):
+    """score_direction as a serial loop: extract, filter, mark, judge in turn."""
+    facts = extract_facts(source, backends, origin)
+    survivors = filter_facts(facts)
+    if not survivors:
+        raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
+    survivor_verdicts = [
+        stub if stub is not None else judge_support(fact, knowledge, backends)
+        for fact, stub in zip(survivors, mark_duplicates(survivors))
+    ]
+    kept = {id(f) for f in survivors}
+    in_turn = iter(survivor_verdicts)
+    verdicts = [
+        next(in_turn) if id(f) in kept else FactVerdict(f, False, Reason.FILTERED)
+        for f in facts
+    ]
+    supported = sum(v.supported for v in survivor_verdicts)
+    counts = FactCounts(
+        extracted=len(facts),
+        filtered=len(survivors),
+        judged=sum(v.reason is Reason.JUDGE for v in survivor_verdicts),
+        supported=supported,
+    )
+    return 100.0 * supported / len(survivors), counts, verdicts
+
+
+def reference_prefs(generated, references, backends):
+    """prefs_multi_reference scoring precision, then each reference, in turn."""
+    knowledge = "\n\n".join(references)
+    precision, precision_counts, _ = reference_direction(
+        generated, knowledge, backends, GENERATED
+    )
+    recalls = [reference_direction(ref, generated, backends, REFERENCE) for ref in references]
+    recall = sum(pct for pct, _, _ in recalls) / len(recalls)
+    return PrefsReport(
+        fact_precision=precision,
+        fact_recall=recall,
+        prefs=prefs(precision, recall),
+        precision_counts=precision_counts,
+        recall_counts=tuple(counts for _, counts, _ in recalls),
+        recall_per_reference=tuple(pct for pct, _, _ in recalls),
+    )
+
+
+SUBJECTS = ("Nick", "Brooke", "Dante", "Bridget", "The harbor master")
+PREDICATES = (
+    "sails to Malta tonight", "signs the blank manifest", "hides the folder",
+    "calls the board again", "waits at the empty dock", "doubts the merger terms",
+)
+
+
+class ScriptedTransport:
+    """Extractor and judge replies per request, and per send of that request.
+
+    Each sentence gets one extraction shape: the sentence itself, bullets
+    with a second fact shared by its subject's sentences, a two-word fact
+    that the filter drops, only a blacklisted fact, or MALFORMED. Some
+    facts get an unparseable first judge answer (the refresh retry then
+    answers), some an unparseable answer on every send. Sends in flight
+    are counted, and each send takes ``delay`` seconds.
+    """
+
+    def __init__(self, shapes: dict[str, str], delay: float = 0.0):
+        self.shapes = shapes
+        self.delay = delay
+        self.sends: Counter[tuple[str, str]] = Counter()
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.sends[request.role, request.prompt] += 1
+            nth = self.sends[request.role, request.prompt]
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            if request.role == FACT_EXTRACTOR:
+                return self.extract(request.variables["sentence"])
+            return self.judge(request.variables["fact"], request.variables["reference"], nth)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def extract(self, sentence: str) -> str:
+        subject = sentence.split(" ")[0]
+        return {
+            "plain": sentence,
+            "bullets": f"- {sentence}\n* {subject} keeps a secret from everyone.",
+            "two-word": f"{subject} waits.\n{sentence}",
+            "blacklisted": f"Someone watches {subject} closely.",
+            "malformed": MALFORMED_SIGNAL,
+        }[self.shapes[sentence]]
+
+    @staticmethod
+    def judge(fact: str, reference: str, nth: int) -> str:
+        answer = "True." if normalize_fact(fact) in normalize_fact(reference) else "false"
+        kind = zlib.crc32(fact.encode()) % 6
+        if kind == 0 or (kind == 1 and nth == 1):
+            return "Perhaps, hard to say."
+        return answer
+
+
+def random_episode(rng: random.Random) -> tuple[str, list[str], dict[str, str]]:
+    """A summary and references drawn from a few sentences, so that
+    sentences repeat within and across texts, and each sentence's shape."""
+    pool = [
+        f"{rng.choice(SUBJECTS)} {rng.choice(PREDICATES)}." for _ in range(rng.randint(4, 9))
+    ]
+    shapes = rng.choices(
+        ("plain", "bullets", "two-word", "blacklisted", "malformed"),
+        weights=(5, 3, 2, 1, 1),
+        k=len(pool),
+    )
+
+    def text() -> str:
+        return " ".join(rng.choice(pool) for _ in range(rng.randint(2, 7)))
+
+    return text(), [text() for _ in range(rng.randint(1, 3))], dict(zip(pool, shapes))
+
+
+def scripted_backends(tmp_path, transport):
+    backends = build_mock_backends(tmp_path / "cache")
+    for role in (FACT_EXTRACTOR, FACT_JUDGE):
+        override_role(backends, role, transport, tmp_path / role)
+    return backends
+
+
+def outcome(score, tmp_path, shapes, delay=0.0):
+    """Report (or error) and per-role upstream calls of one scoring, cold cache."""
+    transport = ScriptedTransport(shapes, delay)
+    backends = scripted_backends(tmp_path, transport)
+    try:
+        result = score(backends).to_dict()
+    except ScenefuseError as exc:
+        result = (type(exc), str(exc))
+    calls = {role: backends.roles[role].client.calls for role in (FACT_EXTRACTOR, FACT_JUDGE)}
+    return result, calls, transport
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pool_scores_like_the_serial_directions(tmp_path, seed):
+    generated, references, shapes = random_episode(random.Random(seed))
+    expected, expected_calls, _ = outcome(
+        lambda b: reference_prefs(generated, references, b), tmp_path / "serial", shapes
+    )
+    for workers in (1, 2, 4, 8):
+        got, calls, _ = outcome(
+            lambda b: prefs_multi_reference(generated, references, b, max_workers=workers),
+            tmp_path / f"pool{workers}",
+            shapes,
+        )
+        assert (got, calls) == (expected, expected_calls), workers
+
+    knowledge = "\n\n".join(references)
+    for i, (source, against, origin) in enumerate(
+        [(generated, knowledge, GENERATED)] + [(r, generated, REFERENCE) for r in references]
+    ):
+        serial = scripted_backends(tmp_path / f"serial-{i}", ScriptedTransport(shapes))
+        pooled = scripted_backends(tmp_path / f"pool-{i}", ScriptedTransport(shapes))
+        try:
+            expected = reference_direction(source, against, serial, origin)
+        except NoFactsAfterFiltering:
+            with pytest.raises(NoFactsAfterFiltering):
+                score_direction(source, against, pooled, origin)
+            continue
+        assert score_direction(source, against, pooled, origin) == expected
+
+
+def test_random_episodes_cover_every_case(tmp_path):
+    # the equivalence above is only as strong as the cases its texts reach
+    seen = Counter()
+    for seed in range(12):
+        generated, references, shapes = random_episode(random.Random(seed))
+        _, _, transport = outcome(
+            lambda b: reference_prefs(generated, references, b), tmp_path / str(seed), shapes
+        )
+        texts = [split_sentences(t) for t in (generated, *references)]
+        seen["repeat within a text"] += any(len(t) > len(set(t)) for t in texts)
+        seen["repeat across references"] += any(
+            set(a) & set(b) for i, a in enumerate(texts[1:]) for b in texts[i + 2:]
+        )
+        for shape in ("malformed", "two-word", "blacklisted"):
+            seen[shape] += any(shapes[s] == shape for t in texts for s in t)
+        # with a cache, only the refresh retry sends a judge request twice
+        seen["refresh retry"] += any(
+            n > 1 for (role, _), n in transport.sends.items() if role == FACT_JUDGE
+        )
+    assert len(seen) == 6 and all(seen.values()), seen
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sends_in_flight_never_exceed_max_workers(tmp_path, workers):
+    generated, references, shapes = random_episode(random.Random(3))
+    _, _, transport = outcome(
+        lambda b: prefs_multi_reference(generated, references, b, max_workers=workers),
+        tmp_path,
+        shapes,
+        delay=0.005,
+    )
+    assert transport.peak <= workers
+    assert transport.peak > 1 or workers == 1
+
+
+def test_a_judge_request_repeated_across_references_is_refreshed_once(tmp_path):
+    # both references hold the fact; its first judge answer is unparseable,
+    # so serially the second reference reads the refreshed answer from the cache
+    repeated = "Nick doubts the merger terms."
+    assert zlib.crc32(repeated.encode()) % 6 == 1
+    generated = f"{repeated} Brooke hides the folder."
+    shapes = dict.fromkeys(split_sentences(generated), "plain")
+    expected = outcome(
+        lambda b: reference_prefs(generated, [repeated, repeated], b), tmp_path / "serial", shapes
+    )[:2]
+    got = outcome(
+        lambda b: prefs_multi_reference(generated, [repeated, repeated], b, max_workers=4),
+        tmp_path / "pool",
+        shapes,
+        delay=0.02,  # long enough for the two references' requests to overlap
+    )[:2]
+    assert got == expected
+
+
+FAILING_GENERATED = "Nick sails to Malta tonight. Brooke hides the folder."
+FAILING_REFERENCES = [
+    "Nick sails to Malta tonight. Dante signs the blank manifest. Bridget waits alone.",
+    "Brooke calls the board again. Nick sails to Malta tonight.",
+]
+KNOWN_EXTRACTIONS = {
+    "Nick sails to Malta tonight.": ["Nick sails to Malta tonight."],
+    "Brooke hides the folder.": ["Brooke hides the folder."],
+    "Dante signs the blank manifest.": ["Dante signs the blank manifest."],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize(
+    ("extractions", "error", "message"),
+    [
+        # lacks sentence 2 of the first reference and sentence 0 of the second
+        (KNOWN_EXTRACTIONS, BackendUnavailable, "fact extraction failed at sentence 2:"),
+        # the first reference's facts are all filtered out before the second fails
+        (
+            {
+                **{s: [s.split()[0] + " waits."] for s in split_sentences(FAILING_REFERENCES[0])},
+                "Brooke hides the folder.": ["Brooke hides the folder."],
+            },
+            NoFactsAfterFiltering,
+            "no reference facts left after filtering",
+        ),
+    ],
+    ids=["two-sentences-missing", "no-facts-before-missing"],
+)
+def test_the_serially_first_error_is_raised(tmp_path, workers, extractions, error, message):
+    fixture = {"extractions": extractions, "verdicts": {"Nick sails to Malta tonight.": True}}
+    serial = build_fixture_backends(tmp_path / "serial", fixture)
+    with pytest.raises(error) as expected:
+        reference_prefs(FAILING_GENERATED, FAILING_REFERENCES, serial)
+    assert str(expected.value).startswith(message)
+    pooled = build_fixture_backends(tmp_path / "pool", fixture)
+    with pytest.raises(error) as got:
+        prefs_multi_reference(FAILING_GENERATED, FAILING_REFERENCES, pooled, max_workers=workers)
+    assert str(got.value) == str(expected.value)
+    # the directions before the failing one were judged, as serially
+    assert pooled.roles[FACT_JUDGE].client.calls == serial.roles[FACT_JUDGE].client.calls > 0

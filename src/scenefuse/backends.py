@@ -163,30 +163,12 @@ class HttpTransport:
             raise BackendUnavailable(f"{self.endpoint}: malformed response body") from exc
 
 
-class _Flight:
-    """One cache read or upstream fetch that concurrent callers share."""
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.completion: str | None = None
-        self.error: BaseException | None = None
-
-    def wait(self) -> str:
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.completion
-
-
 class BackendClient:
     """One transport plus cache, retry, and rate limiting.
 
     ``calls`` counts completed upstream requests; cache hits leave it
     untouched. Cache entries are one JSON file per request digest,
     written to a temp name and renamed so concurrent writers are safe.
-    Concurrent callers of one request share a single flight: one of them
-    reads the cache and, on a miss, calls upstream; the others wait for
-    its completion or its exception.
     """
 
     def __init__(
@@ -204,7 +186,6 @@ class BackendClient:
         self.backoff = backoff
         self.calls = 0
         self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,32 +226,12 @@ class BackendClient:
         write_atomic(self._cache_path(digest), json.dumps(record, ensure_ascii=False, indent=1))
 
     def complete(self, request: BackendRequest, refresh: bool = False) -> str:
-        """Cached completion; ``refresh`` forces one fresh upstream call.
-
-        A ``refresh`` call neither joins nor leads a shared flight.
-        """
+        """Cached completion; ``refresh`` forces one fresh upstream call."""
         digest = cache_key(request)
-        if refresh:
-            return self._fetch(digest, request)
-        with self._lock:
-            flight = self._flights.get(digest)
-            leader = flight is None
-            if leader:
-                flight = self._flights[digest] = _Flight()
-        if not leader:
-            return flight.wait()
-        try:
-            flight.completion = self._cache_read(digest)
-            if flight.completion is None:
-                flight.completion = self._fetch(digest, request)
-            return flight.completion
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                del self._flights[digest]
-            flight.done.set()
+        completion = None if refresh else self._cache_read(digest)
+        if completion is None:
+            completion = self._fetch(digest, request)
+        return completion
 
     def _fetch(self, digest: str, request: BackendRequest) -> str:
         """One upstream completion, retried on BackendUnavailable, then cached."""
@@ -481,13 +442,31 @@ def caption_scene(
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
+ROLE_KEYS = (
+    "endpoint", "auth_env", "model_name", "prompt_template",
+    "rate_limit", "max_output_tokens", "temperature",
+)
+
+
 def config_number(config: dict, key: str, default, kind: type):
-    """``kind(config[key])``, or ``default`` when absent; a bad value is a ConfigError."""
+    """``kind(config[key])``, or ``default`` when absent.
+
+    The value must be a JSON number, and a JSON integer when ``kind`` is
+    int; anything else is a ConfigError.
+    """
     value = config.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
+def config_path(config: dict, key: str, base: Path) -> Path | None:
+    """``base / config[key]``, or None when absent or empty; a non-string is a ConfigError."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a path string, got {value!r}")
+    return base / value if value else None
 
 
 def build_backends(
@@ -497,9 +476,8 @@ def build_backends(
 ) -> Backends:
     """Assemble role runtimes from a config tree.
 
-    Per-role keys: endpoint, auth_env, model_name, prompt_template,
-    rate_limit, max_output_tokens, temperature. Top-level keys:
-    cache_dir, mock_fixture. ``mock=True`` (or a role without an
+    Per-role keys: ``ROLE_KEYS``; any other is a ConfigError. Top-level
+    keys: cache_dir, mock_fixture. ``mock=True`` (or a role without an
     endpoint) selects the deterministic mock for that role; a
     mock_fixture file overrides the extractor and judge mocks.
     """
@@ -512,22 +490,23 @@ def build_backends(
     if unknown:
         raise ConfigError(f"unknown backend roles in config: {sorted(unknown)}")
 
-    cache_dir = config.get("cache_dir")
-    cache_root = (base / cache_dir) if cache_dir else None
+    cache_root = config_path(config, "cache_dir", base)
 
     fixture = None
-    fixture_path = config.get("mock_fixture")
+    fixture_path = config_path(config, "mock_fixture", base)
     if fixture_path:
-        path = base / fixture_path
-        fixture = read_json(path, ConfigError, "mock_fixture")
+        fixture = read_json(fixture_path, ConfigError, "mock_fixture")
         if not isinstance(fixture, dict):
-            raise ConfigError(f"mock_fixture {path} must hold a JSON object")
+            raise ConfigError(f"mock_fixture {fixture_path} must hold a JSON object")
 
     backends = Backends()
     for role in ROLES:
         role_cfg = role_configs.get(role, {})
         if not isinstance(role_cfg, dict):
             raise ConfigError(f"backend config for {role!r} must be an object")
+        unknown = set(role_cfg) - set(ROLE_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown backend config keys for {role!r}: {sorted(unknown)}")
         endpoint = role_cfg.get("endpoint")
         use_mock = mock or not endpoint
         if use_mock:
@@ -537,9 +516,9 @@ def build_backends(
                 transport = default_mock_transport(role)
         else:
             transport = HttpTransport(endpoint, role_cfg.get("auth_env"))
-        template_path = role_cfg.get("prompt_template")
+        template_path = config_path(role_cfg, "prompt_template", base)
         if template_path:
-            template = read_text(base / template_path, ConfigError, "prompt_template")
+            template = read_text(template_path, ConfigError, "prompt_template")
         else:
             template = default_template(role)
         rate_limit = config_number(role_cfg, "rate_limit", 0.0, float)

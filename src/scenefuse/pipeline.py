@@ -90,7 +90,7 @@ def config_from_dict(
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base = Path(base_dir)
-    lexicon_path = raw.get("lexicon")
+    lexicon_path = be.config_path(raw, "lexicon", base)
     return PipelineConfig(
         backends=be.build_backends(raw, mock=mock, base_dir=base),
         out_dir=Path(out_dir),
@@ -100,7 +100,7 @@ def config_from_dict(
         skip_transcript=_flag(raw, "skip_transcript"),
         uniform_chunks=_flag(raw, "uniform_chunks"),
         max_workers=be.config_number(raw, "max_workers", 4, int),
-        lexicon=load_lexicon(base / lexicon_path) if lexicon_path else load_lexicon(),
+        lexicon=load_lexicon(lexicon_path),
     )
 
 

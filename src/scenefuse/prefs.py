@@ -254,27 +254,27 @@ def _score_directions(
 ) -> list[tuple[float, FactCounts, list[FactVerdict]]]:
     """Score each (source text, knowledge text, origin) direction over one thread pool.
 
-    Every extraction request is submitted first; then, once each
-    direction's facts are filtered and marked for duplicates, every judge
-    request left. No task waits on another, so the pool cannot deadlock.
-    Repeated sentences share one upstream call through the client's single
-    flight; repeats of a judge request run in turn in one task. Verdicts,
-    upstream calls and the error raised first are those of scoring the
-    directions one after another. The pool starts at most one thread per
-    submitted task, up to ``max_workers``.
+    One extraction request per distinct sentence, across all directions,
+    is submitted first; then, once each direction's facts are filtered and
+    marked for duplicates, every judge request left. No task waits on
+    another, so the pool cannot deadlock. Repeats of a judge request run
+    in turn in one task. Verdicts, the error raised first and, with a
+    cache, upstream calls are those of scoring the directions one after
+    another. The pool starts at most one thread per submitted task, up to
+    ``max_workers``.
     """
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         try:
             sentences = [split_sentences(source) for source, _, _ in directions]
-            extractions = [
-                [pool.submit(backends.complete, be.FACT_EXTRACTOR, sentence=s) for s in group]
-                for group in sentences
-            ]
+            extractions = {
+                s: pool.submit(backends.complete, be.FACT_EXTRACTOR, sentence=s)
+                for s in dict.fromkeys(itertools.chain(*sentences))
+            }
             screened = []
             failure: ScenefuseError | None = None
-            for (_, _, origin), group, futures in zip(directions, sentences, extractions):
+            for (_, _, origin), group in zip(directions, sentences):
                 try:
-                    facts = _read_facts(group, [f.result for f in futures], origin)
+                    facts = _read_facts(group, [extractions[s].result for s in group], origin)
                     keep = [_passes_filter(f) for f in facts]
                     survivors = [f for f, k in zip(facts, keep) if k]
                     if not survivors:
@@ -282,7 +282,7 @@ def _score_directions(
                 except ScenefuseError as exc:
                     # serially, the directions before this one are judged first
                     failure = exc
-                    for future in itertools.chain.from_iterable(extractions):
+                    for future in extractions.values():
                         future.cancel()
                     break
                 screened.append((facts, keep, survivors, mark_duplicates(survivors)))

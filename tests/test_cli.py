@@ -470,6 +470,30 @@ def fixture_holding(fixture):
         ),
         (config_not_utf8, ["segment"], 2),
         (lambda ep, tmp: [], ["evaluate", "--summary-file", "missing-summary.txt"], 2),
+        (lambda ep, tmp: write_config(tmp, {"cache_dir": 5}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"lexicon": 5}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"mock_fixture": 5}), ["segment"], 2),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"prompt_template": 5}}}
+            ),
+            ["segment"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(tmp, {"backends": {"fact_judge": {"temprature": 0.5}}}),
+            ["segment"],
+            2,
+        ),
+        (lambda ep, tmp: write_config(tmp, {"max_workers": 2.7}), ["segment"], 2),
+        (lambda ep, tmp: write_config(tmp, {"context_budget": 4096.0}), ["segment"], 2),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"max_output_tokens": 1.9}}}
+            ),
+            ["segment"],
+            2,
+        ),
     ],
     ids=[
         "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
@@ -479,6 +503,9 @@ def fixture_holding(fixture):
         "missing-lexicon", "context-budget-not-int", "max-workers-not-int",
         "max-workers-zero", "max-workers-negative", "rate-limit-negative",
         "max-output-tokens-not-int", "config-not-utf8", "missing-summary-file",
+        "cache-dir-not-string", "lexicon-not-string", "fixture-path-not-string",
+        "template-path-not-string", "unknown-role-key", "max-workers-fraction",
+        "context-budget-float", "max-output-tokens-fraction",
     ],
 )
 def test_unreadable_inputs_exit_with_their_code(

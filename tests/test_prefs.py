@@ -526,6 +526,27 @@ def test_a_judge_request_repeated_across_references_is_refreshed_once(tmp_path):
     assert got == expected
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_each_distinct_sentence_is_extracted_once_without_a_cache(tmp_path, workers):
+    repeated = "Nick sails to Malta tonight."
+    generated = f"{repeated} Brooke hides the folder."
+    # repeated within the first reference and across both references
+    references = [
+        f"{repeated} Dante signs the blank manifest. {repeated}",
+        f"Brooke hides the folder. {repeated}",
+    ]
+    distinct = set(split_sentences(" ".join([generated, *references])))
+    transport = ScriptedTransport(dict.fromkeys(distinct, "plain"))
+    backends = build_mock_backends(tmp_path)
+    for role in (FACT_EXTRACTOR, FACT_JUDGE):
+        override_role(backends, role, transport)  # no cache dir
+    prefs_multi_reference(generated, references, backends, max_workers=workers)
+    extractor_sends = {p: n for (role, p), n in transport.sends.items() if role == FACT_EXTRACTOR}
+    assert len(extractor_sends) == len(distinct) == 3
+    assert set(extractor_sends.values()) == {1}
+    assert backends.roles[FACT_EXTRACTOR].client.calls == 3
+
+
 FAILING_GENERATED = "Nick sails to Malta tonight. Brooke hides the folder."
 FAILING_REFERENCES = [
     "Nick sails to Malta tonight. Dante signs the blank manifest. Bridget waits alone.",

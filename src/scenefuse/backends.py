@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -451,21 +452,33 @@ ROLE_KEYS = (
 def config_number(config: dict, key: str, default, kind: type):
     """``kind(config[key])``, or ``default`` when absent.
 
-    The value must be a JSON number, and a JSON integer when ``kind`` is
-    int; anything else is a ConfigError.
+    The value must be a finite JSON number, and a JSON integer when
+    ``kind`` is int; anything else (NaN and Infinity too) is a ConfigError.
     """
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if kind is int else (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
         wanted = "an integer" if kind is int else "a number"
         raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
     return kind(value)
 
 
+def config_string(config: dict, key: str, default: str | None = None) -> str | None:
+    """``config[key]``, or ``default`` when absent or null; a non-string is a ConfigError."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
 def config_path(config: dict, key: str, base: Path) -> Path | None:
     """``base / config[key]``, or None when absent or empty; a non-string is a ConfigError."""
-    value = config.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a path string, got {value!r}")
+    value = config_string(config, key)
     return base / value if value else None
 
 
@@ -507,7 +520,8 @@ def build_backends(
         unknown = set(role_cfg) - set(ROLE_KEYS)
         if unknown:
             raise ConfigError(f"unknown backend config keys for {role!r}: {sorted(unknown)}")
-        endpoint = role_cfg.get("endpoint")
+        endpoint = config_string(role_cfg, "endpoint")
+        auth_env = config_string(role_cfg, "auth_env")
         use_mock = mock or not endpoint
         if use_mock:
             if fixture is not None and role in (FACT_EXTRACTOR, FACT_JUDGE):
@@ -515,7 +529,7 @@ def build_backends(
             else:
                 transport = default_mock_transport(role)
         else:
-            transport = HttpTransport(endpoint, role_cfg.get("auth_env"))
+            transport = HttpTransport(endpoint, auth_env)
         template_path = config_path(role_cfg, "prompt_template", base)
         if template_path:
             template = read_text(template_path, ConfigError, "prompt_template")
@@ -524,6 +538,11 @@ def build_backends(
         rate_limit = config_number(role_cfg, "rate_limit", 0.0, float)
         if rate_limit < 0:
             raise ConfigError(f"rate_limit for {role!r} must be >= 0, got {rate_limit}")
+        max_output_tokens = config_number(role_cfg, "max_output_tokens", 512, int)
+        if max_output_tokens < 1:
+            raise ConfigError(
+                f"max_output_tokens for {role!r} must be >= 1, got {max_output_tokens}"
+            )
         client = BackendClient(
             transport,
             cache_dir=cache_root / role if cache_root else None,
@@ -532,8 +551,8 @@ def build_backends(
         backends.roles[role] = RoleRuntime(
             client=client,
             template=template,
-            model_name=role_cfg.get("model_name", "default"),
-            max_output_tokens=config_number(role_cfg, "max_output_tokens", 512, int),
+            model_name=config_string(role_cfg, "model_name", "default"),
+            max_output_tokens=max_output_tokens,
             temperature=config_number(role_cfg, "temperature", 0.0, float),
         )
     return backends

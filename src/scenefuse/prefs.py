@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -213,24 +212,6 @@ def judge_support(fact: Fact, reference: str, backends: be.Backends) -> FactVerd
     return FactVerdict(fact, bool(answer), Reason.JUDGE)
 
 
-def _judge_in_turn(
-    facts: Sequence[Fact], reference: str, backends: be.Backends
-) -> list[FactVerdict | ScenefuseError]:
-    """judge_support for each fact in order; the first error ends the list.
-
-    Repeats of one judge request run here in turn, as a serial loop would
-    run them, so a repeat sees the cache entry an earlier refresh retry left.
-    """
-    outcomes: list[FactVerdict | ScenefuseError] = []
-    for fact in facts:
-        try:
-            outcomes.append(judge_support(fact, reference, backends))
-        except ScenefuseError as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
 def _tally(
     facts: Sequence[Fact], keep: Sequence[bool], survivor_verdicts: Sequence[FactVerdict]
 ) -> tuple[float, FactCounts, list[FactVerdict]]:
@@ -256,10 +237,12 @@ def _score_directions(
 
     One extraction request per distinct sentence, across all directions,
     is submitted first; then, once each direction's facts are filtered and
-    marked for duplicates, every judge request left. No task waits on
-    another, so the pool cannot deadlock. Repeats of a judge request run
-    in turn in one task. Verdicts, the error raised first and, with a
-    cache, upstream calls are those of scoring the directions one after
+    marked for duplicates, one judge request per distinct question left.
+    A question is the knowledge text, the fact text and the malformed
+    flag, so a malformed sentence never answers a real fact of the same
+    text. Every repeat of a question gets its verdict, with its own Fact.
+    No task waits on another, so the pool cannot deadlock. Verdicts and
+    the error raised first are those of scoring the directions one after
     another. The pool starts at most one thread per submitted task, up to
     ``max_workers``.
     """
@@ -287,27 +270,20 @@ def _score_directions(
                     break
                 screened.append((facts, keep, survivors, mark_duplicates(survivors)))
 
-            repeats: dict[tuple[str, str], list[Fact]] = {}
+            judged = {}
             for (_, knowledge, _), (_, _, survivors, stubs) in zip(directions, screened):
                 for fact, stub in zip(survivors, stubs):
-                    if stub is None:
-                        repeats.setdefault((knowledge, fact.text), []).append(fact)
-            judged = {
-                key: pool.submit(_judge_in_turn, facts, key[0], backends)
-                for key, facts in repeats.items()
-            }
+                    key = (knowledge, fact.text, fact.malformed)
+                    if stub is None and key not in judged:
+                        judged[key] = pool.submit(judge_support, fact, knowledge, backends)
 
-            turn: Counter[tuple[str, str]] = Counter()
             results = []
             for (_, knowledge, _), (facts, keep, survivors, stubs) in zip(directions, screened):
                 survivor_verdicts = []
                 for fact, stub in zip(survivors, stubs):
                     if stub is None:
-                        key = (knowledge, fact.text)
-                        stub = judged[key].result()[turn[key]]
-                        turn[key] += 1
-                        if isinstance(stub, ScenefuseError):
-                            raise stub
+                        v = judged[knowledge, fact.text, fact.malformed].result()
+                        stub = FactVerdict(fact, v.supported, v.reason)
                     survivor_verdicts.append(stub)
                 results.append(_tally(facts, keep, survivor_verdicts))
             if failure is not None:

@@ -494,6 +494,67 @@ def fixture_holding(fixture):
             ["segment"],
             2,
         ),
+        (
+            lambda ep, tmp: write_config(
+                tmp,
+                {
+                    "backends": {
+                        "dialogue_summarizer": {"endpoint": "http://127.0.0.1:9/x", "auth_env": 5}
+                    }
+                },
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"endpoint": 5}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"model_name": ["x"]}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fusion_summarizer": {"temperature": float("nan")}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"rate_limit": float("nan")}}}
+            ),
+            ["evaluate"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"fact_judge": {"rate_limit": float("inf")}}}
+            ),
+            ["evaluate"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"max_output_tokens": -5}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"max_output_tokens": 0}}}
+            ),
+            ["summarize"],
+            2,
+        ),
     ],
     ids=[
         "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
@@ -505,7 +566,9 @@ def fixture_holding(fixture):
         "max-output-tokens-not-int", "config-not-utf8", "missing-summary-file",
         "cache-dir-not-string", "lexicon-not-string", "fixture-path-not-string",
         "template-path-not-string", "unknown-role-key", "max-workers-fraction",
-        "context-budget-float", "max-output-tokens-fraction",
+        "context-budget-float", "max-output-tokens-fraction", "auth-env-not-string",
+        "endpoint-not-string", "model-name-not-string", "temperature-nan", "rate-limit-nan",
+        "rate-limit-infinite", "max-output-tokens-negative", "max-output-tokens-zero",
     ],
 )
 def test_unreadable_inputs_exit_with_their_code(

@@ -302,16 +302,25 @@ def test_prefs_multi_reference_requires_references(fixture_backends):
 # ---------------------------------------------------------------------------
 
 
-def reference_direction(source, knowledge, backends, origin):
-    """score_direction as a serial loop: extract, filter, mark, judge in turn."""
+def reference_direction(source, knowledge, backends, origin, asked=None):
+    """score_direction as a serial loop: extract, filter, mark, judge in turn.
+
+    ``asked`` maps each (knowledge, fact text, malformed) question already
+    judged to its verdict; a repeat takes that verdict with its own fact.
+    """
+    asked = {} if asked is None else asked
     facts = extract_facts(source, backends, origin)
     survivors = filter_facts(facts)
     if not survivors:
         raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
-    survivor_verdicts = [
-        stub if stub is not None else judge_support(fact, knowledge, backends)
-        for fact, stub in zip(survivors, mark_duplicates(survivors))
-    ]
+    survivor_verdicts = []
+    for fact, stub in zip(survivors, mark_duplicates(survivors)):
+        if stub is None:
+            question = (knowledge, fact.text, fact.malformed)
+            if question not in asked:
+                asked[question] = judge_support(fact, knowledge, backends)
+            stub = FactVerdict(fact, asked[question].supported, asked[question].reason)
+        survivor_verdicts.append(stub)
     kept = {id(f) for f in survivors}
     in_turn = iter(survivor_verdicts)
     verdicts = [
@@ -329,12 +338,16 @@ def reference_direction(source, knowledge, backends, origin):
 
 
 def reference_prefs(generated, references, backends):
-    """prefs_multi_reference scoring precision, then each reference, in turn."""
+    """prefs_multi_reference scoring precision, then each reference, in turn,
+    asking each distinct question once across the directions."""
     knowledge = "\n\n".join(references)
+    asked = {}
     precision, precision_counts, _ = reference_direction(
-        generated, knowledge, backends, GENERATED
+        generated, knowledge, backends, GENERATED, asked
     )
-    recalls = [reference_direction(ref, generated, backends, REFERENCE) for ref in references]
+    recalls = [
+        reference_direction(ref, generated, backends, REFERENCE, asked) for ref in references
+    ]
     recall = sum(pct for pct, _, _ in recalls) / len(recalls)
     return PrefsReport(
         fact_precision=precision,
@@ -509,7 +522,7 @@ def test_sends_in_flight_never_exceed_max_workers(tmp_path, workers):
 
 def test_a_judge_request_repeated_across_references_is_refreshed_once(tmp_path):
     # both references hold the fact; its first judge answer is unparseable,
-    # so serially the second reference reads the refreshed answer from the cache
+    # so the second reference must read the refreshed answer, not the first one
     repeated = "Nick doubts the merger terms."
     assert zlib.crc32(repeated.encode()) % 6 == 1
     generated = f"{repeated} Brooke hides the folder."
@@ -524,6 +537,39 @@ def test_a_judge_request_repeated_across_references_is_refreshed_once(tmp_path):
         delay=0.02,  # long enough for the two references' requests to overlap
     )[:2]
     assert got == expected
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_each_distinct_question_is_judged_once_without_a_cache(tmp_path, workers):
+    # both references ask the judge about the repeated fact against the
+    # generated summary; every answer about it is unparseable, so each of
+    # its questions is sent once and once more as the refresh retry
+    repeated = "Nick signs the blank manifest."
+    assert zlib.crc32(repeated.encode()) % 6 == 0
+    generated = f"{repeated} Brooke hides the folder."
+    assert zlib.crc32(b"Brooke hides the folder.") % 6 > 1
+    transport = ScriptedTransport(dict.fromkeys(split_sentences(generated), "plain"))
+    backends = build_mock_backends(tmp_path)
+    for role in (FACT_EXTRACTOR, FACT_JUDGE):
+        override_role(backends, role, transport)  # no cache dir
+    report = prefs_multi_reference(generated, [repeated, repeated], backends, max_workers=workers)
+    assert report.recall_per_reference == (0.0, 0.0)
+    judge_sends = {p: n for (role, p), n in transport.sends.items() if role == FACT_JUDGE}
+    # two precision questions, one recall question shared by both references
+    assert sorted(judge_sends.values()) == [1, 2, 2]
+    assert backends.roles[FACT_JUDGE].client.calls == 5
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_malformed_sentence_never_answers_a_fact_of_the_same_text(tmp_path, workers):
+    # the first reference's sentence A is malformed; the second reference's
+    # sentence B yields the fact A, which the judge must still be asked about
+    a, b = "Nick sails to Malta tonight.", "Brooke hides the folder."
+    fixture = {"extractions": {a: MALFORMED_SIGNAL, b: [a]}, "verdicts": {a: True}}
+    backends = build_fixture_backends(tmp_path, fixture)
+    report = prefs_multi_reference(f"{a} {b}", [a, b], backends, max_workers=workers)
+    assert report.recall_per_reference == (0.0, 100.0)
+    assert report.recall_counts[1].judged == 1
 
 
 @pytest.mark.parametrize("workers", [1, 4])

@@ -23,8 +23,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
+from urllib.parse import SplitResult, urlsplit
 
 from .errors import (
     AuthError,
@@ -32,6 +31,7 @@ from .errors import (
     ConfigError,
     EmptyCompletion,
     QuotaExceeded,
+    make_dir,
     read_json,
     read_text,
 )
@@ -120,21 +120,47 @@ class MockTransport:
         return self.respond(request)
 
 
+def parse_endpoint(endpoint: str) -> SplitResult:
+    """``urlsplit(endpoint)``; anything but an http(s) URL with a host is a ConfigError."""
+    try:
+        url = urlsplit(endpoint)
+        url.port  # a port that is not a number raises here
+    except ValueError as exc:
+        raise ConfigError(f"endpoint {endpoint!r} is not a URL: {exc}") from None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigError(f"endpoint {endpoint!r} is not an http or https URL with a host")
+    return url
+
+
 class HttpTransport:
-    """JSON-over-HTTP chat-completion wire shape.
+    """JSON-over-HTTP chat-completion wire shape, sent through ``http.client``.
 
     The auth secret is read from the environment variable named by
     ``auth_env`` at request time and never appears in config files.
+    Connections are kept alive: each request takes an idle one or opens
+    one, and puts it back once the response body is read. A kept
+    connection the server has dropped costs one resend on a fresh one.
+    ``close`` closes the idle connections.
     """
 
     def __init__(self, endpoint: str, auth_env: str | None = None, timeout: float = 60.0):
+        import http.client  # only a run with an endpoint pays for the import
+
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.timeout = timeout
-        self._session = requests.Session()
+        url = parse_endpoint(endpoint)
+        self._connection = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._address = (url.hostname, url.port)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._errors = (OSError, http.client.HTTPException)
+        self._idle: list = []
+        self._lock = threading.Lock()
 
     def send(self, request: BackendRequest) -> str:
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.auth_env:
             secret = os.environ.get(self.auth_env)
             if not secret:
@@ -147,21 +173,59 @@ class HttpTransport:
             "max_tokens": request.max_output_tokens,
         }
         try:
-            response = self._session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            status, body = self._post(json.dumps(payload).encode("utf-8"), headers)
+        except self._errors as exc:
             raise BackendUnavailable(f"{self.endpoint}: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthError(f"{self.endpoint}: HTTP {response.status_code}")
-        if response.status_code == 429:
+        if status in (401, 403):
+            raise AuthError(f"{self.endpoint}: HTTP {status}")
+        if status == 429:
             raise QuotaExceeded(f"{self.endpoint}: HTTP 429")
-        if response.status_code != 200:
-            raise BackendUnavailable(f"{self.endpoint}: HTTP {response.status_code}")
+        if status != 200:
+            raise BackendUnavailable(f"{self.endpoint}: HTTP {status}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"{self.endpoint}: malformed response body") from exc
+        if not isinstance(content, str):
+            raise BackendUnavailable(f"{self.endpoint}: malformed response body")
+        return content
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        with self._lock:
+            kept = self._idle.pop() if self._idle else None
+        if kept is not None:
+            try:
+                return self._exchange(kept, body, headers)
+            except TimeoutError:
+                raise  # a slow server, not a dropped connection
+            except self._errors:
+                pass  # the server closed the kept connection; resend on a fresh one
+        return self._exchange(
+            self._connection(*self._address, timeout=self.timeout), body, headers
+        )
+
+    def _exchange(self, connection, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """One POST on ``connection``, which is kept if the server keeps it, else closed."""
+        keep = False
+        try:
+            connection.request("POST", self._path, body, headers)
+            response = connection.getresponse()
+            data = response.read()
+            keep = not response.will_close
+        finally:
+            if keep:
+                with self._lock:
+                    self._idle.append(connection)
+            else:
+                connection.close()
+        return response.status, data
+
+    def close(self) -> None:
+        """Close the idle connections; a later send opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 class BackendClient:
@@ -188,7 +252,7 @@ class BackendClient:
         self.calls = 0
         self._lock = threading.Lock()
         if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            make_dir(self.cache_dir, "cache_dir")
 
     def _cache_path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
@@ -300,6 +364,12 @@ class Backends:
     @property
     def upstream_calls(self) -> int:
         return sum(rt.client.calls for rt in self.roles.values())
+
+    def close(self) -> None:
+        """Close the kept connections of every HTTP role."""
+        for rt in self.roles.values():
+            if isinstance(rt.client.transport, HttpTransport):
+                rt.client.transport.close()
 
 
 def default_template(role: str) -> str:
@@ -521,6 +591,8 @@ def build_backends(
         if unknown:
             raise ConfigError(f"unknown backend config keys for {role!r}: {sorted(unknown)}")
         endpoint = config_string(role_cfg, "endpoint")
+        if endpoint:
+            parse_endpoint(endpoint)  # refused under --mock too
         auth_env = config_string(role_cfg, "auth_env")
         use_mock = mock or not endpoint
         if use_mock:

@@ -108,7 +108,10 @@ def cmd_captions_clean(args) -> int:
 def cmd_summarize(args) -> int:
     episode = _episode(args)
     config = _pipeline_config(args)
-    artifacts = run_pipeline(episode, config)
+    try:
+        artifacts = run_pipeline(episode, config)
+    finally:
+        config.backends.close()
     print(artifacts.final_summary)
     return 0
 
@@ -120,7 +123,10 @@ def cmd_evaluate(args) -> int:
         summary = read_text(Path(args.summary_file), ConfigError, "--summary-file").strip()
     else:
         summary = read_summary(episode, config)
-    report = run_eval(episode, summary, config)
+    try:
+        report = run_eval(episode, summary, config)
+    finally:
+        config.backends.close()
     _print_json(report.to_dict())
     return 0
 

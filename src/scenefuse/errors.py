@@ -2,7 +2,8 @@
 
 Three broad families map onto CLI exit codes: configuration problems (2),
 backend/transport problems (3), and data problems (4). ``read_text`` and
-``read_json`` turn a file that cannot be read into the caller's family.
+``read_json`` turn a file that cannot be read into the caller's family;
+``make_dir`` turns a directory that cannot be made into a ConfigError.
 """
 
 import json
@@ -101,3 +102,11 @@ def read_json(path: Path, error: type[ScenefuseError], what: str):
         return json.loads(read_text(path, error, what))
     except ValueError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def make_dir(path: Path, what: str) -> None:
+    """Create ``path`` and its parents; a file in the way or a denied mkdir is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {what} {path}: {exc.strerror or exc}") from exc

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from . import backends as be
 from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans, spans_to_dicts
 from .captions import GenderLexicon, SceneCaption, load_lexicon, postprocess_captions
-from .errors import BudgetTooSmall, ConfigError, DataError, ScenefuseError
+from .errors import BudgetTooSmall, ConfigError, DataError, ScenefuseError, make_dir
 from .model import Episode, Partition, Scene, Transcript
 from .prefs import PrefsReport, prefs_multi_reference, split_sentences
 from .reordering import SceneOrder, order_cost, order_to_dict, reorder
@@ -321,7 +321,7 @@ def read_summary(episode: Episode, config: PipelineConfig) -> str:
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
     """Execute all stages for one episode, reusing persisted artifacts."""
     out = config.out_dir / episode.id
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out, "--out directory")
 
     partition = _stage(
         out / "partition.json", "segment", _PARTITION, compute_partition, episode, config
@@ -387,7 +387,7 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
     if not episode.gold_summaries:
         raise DataError(f"episode {episode.id} has no gold summaries")
     out = config.out_dir / episode.id
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out, "--out directory")
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )

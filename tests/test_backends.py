@@ -1,9 +1,12 @@
 """Backend clients: caching, retries, transports, and the mock suite."""
 
 import json
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
@@ -235,19 +238,56 @@ class _CannedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
-    _CannedHandler.responses = []
-    _CannedHandler.auth_headers = []
+class _KeepAliveHandler(_CannedHandler):
+    """HTTP/1.1: the connection stays open unless ``drop`` is set, in which
+    case the server closes it after the response without saying so."""
+
+    protocol_version = "HTTP/1.1"
+    clients: list[tuple[str, int]] = []
+    drop = False
+
+    def do_POST(self):
+        type(self).clients.append(self.client_address)
+        super().do_POST()
+        self.close_connection = type(self).drop
+
+
+class _EchoHandler(_KeepAliveHandler):
+    """Answers each request with its own prompt, so crossed replies show."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+        type(self).clients.append(self.client_address)
+        payload = good_body(prompt).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+@contextmanager
+def serving(handler, server_class=HTTPServer):
+    server = server_class(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
-    thread.join(timeout=5)
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat"
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_endpoint():
+    _CannedHandler.responses = []
+    _CannedHandler.auth_headers = []
+    with serving(_CannedHandler) as endpoint:
+        yield endpoint
 
 
 def good_body(content: str) -> str:
@@ -281,8 +321,13 @@ def test_http_transport_maps_status_codes(http_endpoint, status, error):
         transport.send(request())
 
 
-def test_http_transport_rejects_malformed_bodies(http_endpoint):
-    _CannedHandler.responses.append((200, '{"unexpected": true}'))
+@pytest.mark.parametrize(
+    "body",
+    ['{"unexpected": true}', '{"choices": [{"message": {"content": null}}]}'],
+    ids=["no-choices", "null-content"],
+)
+def test_http_transport_rejects_malformed_bodies(http_endpoint, body):
+    _CannedHandler.responses.append((200, body))
     transport = HttpTransport(http_endpoint)
     with pytest.raises(BackendUnavailable, match="malformed"):
         transport.send(request())
@@ -292,6 +337,58 @@ def test_http_transport_connection_failure():
     transport = HttpTransport("http://127.0.0.1:9/unreachable", timeout=0.5)
     with pytest.raises(BackendUnavailable):
         transport.send(request())
+
+
+def test_http_transport_keeps_its_connection_alive():
+    _KeepAliveHandler.responses = [(200, good_body(f"reply {i}")) for i in range(7)]
+    _KeepAliveHandler.clients = []
+    _KeepAliveHandler.drop = False
+    with serving(_KeepAliveHandler) as endpoint:
+        transport = HttpTransport(endpoint, timeout=5.0)
+        try:
+            replies = [transport.send(request()) for _ in range(5)]
+            assert replies == [f"reply {i}" for i in range(5)]
+            assert _KeepAliveHandler.clients == [_KeepAliveHandler.clients[0]] * 5
+            # the server answers, then closes the kept connection silently:
+            # the next send fails on it and is resent once on a fresh one
+            _KeepAliveHandler.drop = True
+            assert transport.send(request()) == "reply 5"
+            assert transport.send(request()) == "reply 6"
+        finally:
+            transport.close()
+    first, *_, dropped, fresh = _KeepAliveHandler.clients
+    assert len(_KeepAliveHandler.clients) == 7
+    assert dropped == first and fresh != first
+
+
+def test_http_transport_shares_its_connections_across_threads():
+    # 4 threads on 2 cores with a short switch interval: a connection
+    # handed to two threads at once would cross replies or open a fifth
+    _EchoHandler.clients = []
+    prompts = [f"prompt {i}" for i in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(_EchoHandler, ThreadingHTTPServer) as endpoint:
+            transport = HttpTransport(endpoint, timeout=5.0)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    replies = list(pool.map(lambda p: transport.send(request(p)), prompts))
+            finally:
+                transport.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == prompts
+    assert len(_EchoHandler.clients) == 40
+    assert len(set(_EchoHandler.clients)) <= 4
+
+
+def test_endpoint_must_be_an_http_url_with_a_host():
+    for endpoint in ("not a url", "ftp://x/y", "http:///v1/chat", "https://host:port/x"):
+        with pytest.raises(ConfigError):
+            HttpTransport(endpoint)
+        with pytest.raises(ConfigError):
+            build_backends({"backends": {FACT_JUDGE: {"endpoint": endpoint}}}, mock=True)
 
 
 def test_default_mock_dialogue_summarizer(tmp_path):

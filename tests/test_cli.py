@@ -375,14 +375,15 @@ def test_mock_flag_overrides_configured_endpoints(capsys, tmp_path, episode_dir)
     assert out.startswith("Episode recap:")
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("name", ["scipy", "requests", "urllib3", "http"])
+def test_cli_import_loads_no(name):
     # a fresh interpreter, so no other test's imports can hide a load
     env = dict(os.environ)
     package_root = str(Path(scenefuse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     probe = (
         "import sys, scenefuse.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {name!r}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -421,6 +422,21 @@ def config_not_utf8(episode_dir, tmp_path):
 def fixture_not_json(episode_dir, tmp_path):
     (tmp_path / "fixture.json").write_text("{not json", encoding="utf-8")
     return write_config(tmp_path, {"mock_fixture": "fixture.json"})
+
+
+def file_at(name, *args):
+    """A plain file where a directory is wanted; ``args`` go before the command."""
+
+    def prepare(episode_dir, tmp_path):
+        (tmp_path / name).write_text("a file\n", encoding="utf-8")
+        return list(args)
+
+    return prepare
+
+
+def cache_dir_is_a_file(episode_dir, tmp_path):
+    file_at("cache")(episode_dir, tmp_path)
+    return write_config(tmp_path, {"cache_dir": "cache"})
 
 
 def fixture_holding(fixture):
@@ -555,6 +571,23 @@ def fixture_holding(fixture):
             ["summarize"],
             2,
         ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"endpoint": "not a url"}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (
+            lambda ep, tmp: write_config(
+                tmp, {"backends": {"dialogue_summarizer": {"endpoint": "ftp://x/y"}}}
+            ),
+            ["summarize"],
+            2,
+        ),
+        (cache_dir_is_a_file, ["segment"], 2),
+        (file_at("out"), ["summarize"], 2),
+        (file_at("out"), ["evaluate", "--summary-file", "ep1/transcript.txt"], 2),
     ],
     ids=[
         "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
@@ -569,6 +602,8 @@ def fixture_holding(fixture):
         "context-budget-float", "max-output-tokens-fraction", "auth-env-not-string",
         "endpoint-not-string", "model-name-not-string", "temperature-nan", "rate-limit-nan",
         "rate-limit-infinite", "max-output-tokens-negative", "max-output-tokens-zero",
+        "endpoint-not-a-url", "endpoint-not-http", "cache-dir-is-a-file", "out-is-a-file",
+        "eval-out-is-a-file",
     ],
 )
 def test_unreadable_inputs_exit_with_their_code(

@@ -8,82 +8,3 @@ statistics, wired together by a resumable pipeline and a CLI.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    CaptionCue,
-    CaptionTrack,
-    Episode,
-    Partition,
-    Scene,
-    Transcript,
-    TranscriptLine,
-    load_episode,
-    parse_captions,
-    parse_transcript,
-)
-from .segmentation import (
-    brute_force_partition,
-    codebook_cost,
-    effective_partition,
-    optimal_partition,
-    scene_cost,
-)
-from .reordering import brute_force_reorder, causality, iou, order_cost, reorder
-from .alignment import dtw_align, lcs_length, line_similarity, scene_time_spans
-from .captions import classify_name, filter_captions, insert_names, load_lexicon
-from .prefs import (
-    extract_facts,
-    fact_precision,
-    fact_recall,
-    filter_facts,
-    prefs,
-    prefs_multi_reference,
-)
-from .stats import ari, clustering_accuracy, nmi, welch_df, welch_t
-from .pipeline import PipelineConfig, assemble_fusion_input, run_eval, run_pipeline
-
-__all__ = [
-    "CaptionCue",
-    "CaptionTrack",
-    "Episode",
-    "Partition",
-    "PipelineConfig",
-    "Scene",
-    "Transcript",
-    "TranscriptLine",
-    "ari",
-    "assemble_fusion_input",
-    "brute_force_partition",
-    "brute_force_reorder",
-    "causality",
-    "classify_name",
-    "clustering_accuracy",
-    "codebook_cost",
-    "dtw_align",
-    "effective_partition",
-    "extract_facts",
-    "fact_precision",
-    "fact_recall",
-    "filter_captions",
-    "filter_facts",
-    "insert_names",
-    "iou",
-    "lcs_length",
-    "line_similarity",
-    "load_episode",
-    "load_lexicon",
-    "nmi",
-    "optimal_partition",
-    "order_cost",
-    "parse_captions",
-    "parse_transcript",
-    "prefs",
-    "prefs_multi_reference",
-    "reorder",
-    "run_eval",
-    "run_pipeline",
-    "scene_cost",
-    "scene_time_spans",
-    "welch_df",
-    "welch_t",
-]

@@ -234,6 +234,8 @@ class BackendClient:
     ``calls`` counts completed upstream requests; cache hits leave it
     untouched. Cache entries are one JSON file per request digest,
     written to a temp name and renamed so concurrent writers are safe.
+    The cache directory is created on the first write, so a client that
+    never completes a request leaves none behind.
     """
 
     def __init__(
@@ -251,8 +253,7 @@ class BackendClient:
         self.backoff = backoff
         self.calls = 0
         self._lock = threading.Lock()
-        if self.cache_dir:
-            make_dir(self.cache_dir, "cache_dir")
+        self._cache_made = False
 
     def _cache_path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
@@ -281,6 +282,11 @@ class BackendClient:
     def _cache_write(self, digest: str, request: BackendRequest, completion: str) -> None:
         if not self.cache_dir:
             return
+        if not self._cache_made:
+            with self._lock:
+                if not self._cache_made:
+                    make_dir(self.cache_dir, "cache_dir")
+                    self._cache_made = True
         record = {
             "digest": digest,
             "role": request.role,
@@ -574,6 +580,8 @@ def build_backends(
         raise ConfigError(f"unknown backend roles in config: {sorted(unknown)}")
 
     cache_root = config_path(config, "cache_dir", base)
+    if cache_root and cache_root.exists() and not cache_root.is_dir():
+        raise ConfigError(f"cache_dir {cache_root} is not a directory")
 
     fixture = None
     fixture_path = config_path(config, "mock_fixture", base)

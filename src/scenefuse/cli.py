@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alignment import spans_to_dicts
+from .alignment import scene_time_spans, spans_to_dicts
 from .errors import BackendError, ConfigError, DataError, read_json, read_text
 from .model import Episode, Partition, load_episode
 from .pipeline import (
@@ -25,7 +25,6 @@ from .pipeline import (
     compute_captions,
     compute_order,
     compute_partition,
-    compute_spans,
     config_from_dict,
     read_summary,
     run_eval,
@@ -75,17 +74,15 @@ def _partitioned(args) -> tuple[Episode, PipelineConfig, Partition]:
 
 
 def cmd_segment(args) -> int:
-    episode = _episode(args)
-    config = _pipeline_config(args)
-    config.uniform_chunks |= args.uniform_chunks
-    _print_json(compute_partition(episode, config).to_dict())
+    _, _, partition = _partitioned(args)
+    _print_json(partition.to_dict())
     return 0
 
 
 def cmd_align(args) -> int:
     episode, _, partition = _partitioned(args)
     alignment = compute_alignment(episode)
-    spans = compute_spans(episode, partition, alignment)
+    spans = scene_time_spans(partition, alignment, episode.captions)
     _print_json({"alignment": alignment.to_dict(), "spans": spans_to_dicts(spans)})
     return 0
 
@@ -196,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="partition the transcript into scenes")
-    p.add_argument(
-        "--uniform-chunks", action="store_true",
-        help="fixed-size token windows instead of the MDL search",
-    )
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("align", help="align transcript lines to caption cues")

@@ -25,7 +25,14 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from . import backends as be
 from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans, spans_to_dicts
 from .captions import GenderLexicon, SceneCaption, load_lexicon, postprocess_captions
-from .errors import BudgetTooSmall, ConfigError, DataError, ScenefuseError, make_dir
+from .errors import (
+    BudgetTooSmall,
+    ConfigError,
+    DataError,
+    EmptyCompletion,
+    ScenefuseError,
+    make_dir,
+)
 from .model import Episode, Partition, Scene, Transcript
 from .prefs import PrefsReport, prefs_multi_reference, split_sentences
 from .reordering import SceneOrder, order_cost, order_to_dict, reorder
@@ -94,12 +101,12 @@ def config_from_dict(
     return PipelineConfig(
         backends=be.build_backends(raw, mock=mock, base_dir=base),
         out_dir=Path(out_dir),
-        context_budget=be.config_number(raw, "context_budget", 4096, int),
+        context_budget=be.config_number(raw, "context_budget", PipelineConfig.context_budget, int),
         skip_reorder=_flag(raw, "skip_reorder"),
         skip_vision=_flag(raw, "skip_vision"),
         skip_transcript=_flag(raw, "skip_transcript"),
         uniform_chunks=_flag(raw, "uniform_chunks"),
-        max_workers=be.config_number(raw, "max_workers", 4, int),
+        max_workers=be.config_number(raw, "max_workers", PipelineConfig.max_workers, int),
         lexicon=load_lexicon(lexicon_path),
     )
 
@@ -216,10 +223,6 @@ def compute_alignment(episode: Episode) -> Alignment:
     )
 
 
-def compute_spans(episode: Episode, partition: Partition, alignment: Alignment) -> list[TimeSpan]:
-    return scene_time_spans(partition, alignment, episode.captions)
-
-
 def compute_captions(
     episode: Episode, partition: Partition, config: PipelineConfig
 ) -> list[SceneCaption]:
@@ -254,7 +257,10 @@ def compute_order(partition: Partition, config: PipelineConfig) -> SceneOrder:
 
 
 def compute_final_summary(fusion_input: str, config: PipelineConfig) -> str:
-    return config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip()
+    summary = config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip()
+    if not summary:
+        raise EmptyCompletion("fusion summarizer returned a blank completion")
+    return summary
 
 
 class Codec(NamedTuple):
@@ -335,7 +341,7 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
         )
         time_spans = _stage(
             out / "spans.json", "align", _SPANS,
-            compute_spans, episode, partition, alignment,
+            scene_time_spans, partition, alignment, episode.captions,
         )
 
     scene_captions: list[SceneCaption] = []

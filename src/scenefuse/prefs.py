@@ -311,26 +311,6 @@ def score_direction(
     return result
 
 
-def fact_precision(
-    generated: str, reference: str, backends: be.Backends, max_workers: int = 4
-) -> float:
-    """Percent of the generated summary's facts the reference supports."""
-    percent, _, _ = score_direction(
-        generated, reference, backends, GENERATED, max_workers
-    )
-    return percent
-
-
-def fact_recall(
-    generated: str, reference: str, backends: be.Backends, max_workers: int = 4
-) -> float:
-    """Percent of the reference's facts the generated summary supports."""
-    percent, _, _ = score_direction(
-        reference, generated, backends, REFERENCE, max_workers
-    )
-    return percent
-
-
 def prefs(fp: float, fr: float) -> float:
     """Harmonic mean of two percentages; 0 if either is 0."""
     if fp <= 0.0 or fr <= 0.0:

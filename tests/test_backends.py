@@ -588,7 +588,11 @@ def test_build_backends_role_settings_and_cache_layout(tmp_path):
     assert runtime.max_output_tokens == 16
     assert runtime.temperature == 0.25
     assert runtime.client.cache_dir == tmp_path / "cache" / FACT_JUDGE
-    assert runtime.client.cache_dir.is_dir()
+    # the role's directory appears with its first cached completion
+    assert not (tmp_path / "cache").exists()
+    backends.complete(FACT_JUDGE, fact="Nick sails.", reference="Nick sails.")
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [FACT_JUDGE]
+    assert len(list(runtime.client.cache_dir.iterdir())) == 1
 
 
 def test_build_backends_mock_fixture_overrides_extractor_and_judge(tmp_path):

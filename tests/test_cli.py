@@ -16,6 +16,7 @@ from conftest import (
     write_episode,
 )
 import scenefuse
+from scenefuse import backends
 from scenefuse.cli import main
 
 GOLD = ["Brooke sails away tonight."]
@@ -50,11 +51,6 @@ def test_segment_prints_the_partition(capsys, episode_dir):
         (0, 6), (6, 12), (12, 18)
     ]
     assert set(data) == {"scenes", "breaks", "total_cost_bits"}
-
-
-def test_segment_uniform_chunks_flag(capsys, episode_dir):
-    data = run_json(capsys, "--episode", episode_dir, "segment", "--uniform-chunks")
-    assert [(s["start"], s["end"]) for s in data["scenes"]] == [(0, 18)]
 
 
 def test_align_prints_alignment_and_spans(capsys, episode_dir):
@@ -353,6 +349,30 @@ def test_unreachable_endpoint_is_a_backend_error(capsys, tmp_path, episode_dir):
     )
     assert code == 3
     assert "backend error: stage fuse:" in err
+
+
+def test_blank_fusion_completion_is_a_backend_error(capsys, monkeypatch, tmp_path, episode_dir):
+    monkeypatch.setitem(backends._DEFAULT_MOCKS, backends.FUSION_SUMMARIZER, lambda req: "  \n")
+    out_dir = tmp_path / "artifacts"
+    code, out, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("backend error: stage fuse: ")
+    assert (out_dir / "ep1" / "fusion_input.txt").is_file()
+    assert not (out_dir / "ep1" / "summary.txt").exists()
+
+
+def test_role_cache_directories_appear_on_first_use(capsys, tmp_path, episode_dir):
+    config = write_config(tmp_path, {"cache_dir": "cache"})
+    common = (*config, "--episode", episode_dir, "--out", tmp_path / "out")
+    run_json(capsys, *common, "segment")
+    assert not (tmp_path / "cache").exists()
+    summary = tmp_path / "candidate.txt"
+    summary.write_text("Nick owns a boat. Brooke sails away.\n", encoding="utf-8")
+    run_json(capsys, *common, "evaluate", "--summary-file", summary)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "fact_extractor", "fact_judge"
+    ]
 
 
 def test_mock_flag_overrides_configured_endpoints(capsys, tmp_path, episode_dir):

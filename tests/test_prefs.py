@@ -30,8 +30,6 @@ from scenefuse.prefs import (
     PrefsReport,
     Reason,
     extract_facts,
-    fact_precision,
-    fact_recall,
     filter_facts,
     judge_support,
     mark_duplicates,
@@ -236,12 +234,9 @@ def test_fixture_episode_precision_counts(prefs_fixture, fixture_backends):
 
 
 def test_fixture_episode_directional_scores(prefs_fixture, fixture_backends):
-    fp = fact_precision(
-        prefs_fixture["summary"], prefs_fixture["reference"], fixture_backends
-    )
-    fr = fact_recall(
-        prefs_fixture["summary"], prefs_fixture["reference"], fixture_backends
-    )
+    summary, reference = prefs_fixture["summary"], prefs_fixture["reference"]
+    fp, _, _ = score_direction(summary, reference, fixture_backends, GENERATED)
+    fr, _, _ = score_direction(reference, summary, fixture_backends, REFERENCE)
     assert fp == pytest.approx(PRECISION_EXACT, abs=1e-9)
     assert fr == pytest.approx(RECALL_EXACT, abs=1e-9)
 

@@ -4,9 +4,9 @@ Five roles share one mechanism: dialogue_summarizer, fusion_summarizer,
 fact_extractor, fact_judge, vision_captioner. Each role has a prompt
 template (externalized file, shipped default), a transport (HTTP
 chat-completion wire shape, or a deterministic mock), a persistent
-content-addressed response cache, retry with exponential backoff for
-transient failures, and an optional rate limit. Clients are safe to
-share across threads.
+response cache keyed by request digest (one append-only log per role),
+retry with exponential backoff for transient failures, and an optional
+rate limit. Clients are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ ROLES = (
 )
 
 MALFORMED_SIGNAL = "MALFORMED"
+CACHE_LOG = "completions.jsonl"
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,6 @@ class BackendRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write text through a per-thread temp file and os.replace.
-
-    A reader sees the old file or the whole new one, never a partial write.
-    """
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def cache_key(request: BackendRequest) -> str:
@@ -232,10 +223,17 @@ class BackendClient:
     """One transport plus cache, retry, and rate limiting.
 
     ``calls`` counts completed upstream requests; cache hits leave it
-    untouched. Cache entries are one JSON file per request digest,
-    written to a temp name and renamed so concurrent writers are safe.
-    The cache directory is created on the first write, so a client that
-    never completes a request leaves none behind.
+    untouched. The cache is one append-only log, ``CACHE_LOG`` under
+    ``cache_dir``: each fetched completion is one JSON record on its own
+    line, appended by a single ``os.write`` to an ``O_APPEND`` descriptor,
+    so concurrent writers keep each record whole. A record starts with
+    its newline, so one torn by a crash costs only that record. The
+    first lookup reads the whole log into a digest -> completion dict;
+    a line that does not decode or lacks a string ``digest`` and
+    ``completion`` is skipped, and a later record for a digest wins. A
+    log that cannot be read or appended to is a ConfigError. The cache
+    directory is created on the first write, so a client that never
+    completes a request leaves none behind.
     """
 
     def __init__(
@@ -248,45 +246,50 @@ class BackendClient:
     ):
         self.transport = transport
         self.cache_dir = Path(cache_dir) if cache_dir else None
+        self._log = self.cache_dir / CACHE_LOG if cache_dir else None
         self.limiter = RateLimiter(rate_limit) if rate_limit else None
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.calls = 0
         self._lock = threading.Lock()
+        self._completions: dict[str, str] | None = None
         self._cache_made = False
 
-    def _cache_path(self, digest: str) -> Path:
-        return self.cache_dir / f"{digest}.json"
+    def _cached(self) -> dict[str, str]:
+        """The log's digest -> completion dict, read on the first call."""
+        if self._completions is None:
+            with self._lock:
+                if self._completions is None:
+                    self._completions = self._load()
+        return self._completions
 
-    def _cache_read(self, digest: str) -> str | None:
-        """Cached completion, or None on a miss.
-
-        An entry that does not decode, lacks a string ``completion`` or
-        records another digest counts as a miss; the fresh completion
-        then overwrites it.
-        """
-        if not self.cache_dir:
-            return None
-        path = self._cache_path(digest)
-        if not path.is_file():
-            return None
+    def _load(self) -> dict[str, str]:
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("digest", digest) != digest:
-            return None
-        completion = record.get("completion")
-        return completion if isinstance(completion, str) else None
+            data = self._log.read_bytes()
+        except FileNotFoundError:
+            return {}
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read completion log {self._log}: {exc.strerror or exc}"
+            ) from exc
+        completions = {}
+        for line in data.split(b"\n"):
+            try:
+                record = json.loads(line)
+            except ValueError:  # blank, torn, or not UTF-8
+                continue
+            if isinstance(record, dict):
+                digest, completion = record.get("digest"), record.get("completion")
+                if isinstance(digest, str) and isinstance(completion, str):
+                    completions[digest] = completion
+        return completions
 
     def _cache_write(self, digest: str, request: BackendRequest, completion: str) -> None:
-        if not self.cache_dir:
+        if not self._log:
             return
         if not self._cache_made:
-            with self._lock:
-                if not self._cache_made:
-                    make_dir(self.cache_dir, "cache_dir")
-                    self._cache_made = True
+            make_dir(self.cache_dir, "cache_dir")
+            self._cache_made = True
         record = {
             "digest": digest,
             "role": request.role,
@@ -294,12 +297,25 @@ class BackendClient:
             "prompt": request.prompt,
             "completion": completion,
         }
-        write_atomic(self._cache_path(digest), json.dumps(record, ensure_ascii=False, indent=1))
+        line = ("\n" + json.dumps(record, ensure_ascii=False)).encode("utf-8")
+        try:
+            fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot append to completion log {self._log}: {exc.strerror or exc}"
+            ) from exc
+        self._cached()[digest] = completion
 
     def complete(self, request: BackendRequest, refresh: bool = False) -> str:
         """Cached completion; ``refresh`` forces one fresh upstream call."""
         digest = cache_key(request)
-        completion = None if refresh else self._cache_read(digest)
+        completion = None
+        if self._log and not refresh:
+            completion = self._cached().get(digest)
         if completion is None:
             completion = self._fetch(digest, request)
         return completion

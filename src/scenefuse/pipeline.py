@@ -9,13 +9,16 @@ text. A rerun loads whatever already exists, so deleting one artifact
 re-executes exactly that stage. An artifact that does not decode
 (truncated, not JSON, missing fields) is recomputed the same way.
 Artifacts are written through a temp file and os.replace, so a crash
-leaves the old file or none, never half of one. Ablation flags drop a
-stage and its content from the fusion input.
+leaves the old file or none, never half of one. An artifact path that
+cannot be read or written (a directory, say) is a ConfigError. Ablation
+flags drop a stage and its content from the fusion input.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -295,18 +298,40 @@ def _decode(text: str, codec: Codec | None):
     return text[:-1]
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write text through a per-thread temp file and os.replace.
+
+    A reader sees the old file or the whole new one, never a partial
+    write. A path that cannot be written is a ConfigError, and the temp
+    file is removed.
+    """
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _stage(path: Path, name: str, codec: Codec | None, compute: Callable, *args):
     """compute(*args), persisted at path; a file there that decodes wins."""
-    if path.exists():
-        try:
-            return _decode(path.read_text(encoding="utf-8"), codec)
-        except (ValueError, KeyError, TypeError, IndexError):
-            pass  # corrupt or truncated: recompute and overwrite it
+    try:
+        return _decode(path.read_text(encoding="utf-8"), codec)
+    except FileNotFoundError:
+        pass  # not computed yet
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError, IndexError):
+        pass  # corrupt or truncated: recompute and overwrite it
     try:
         value = compute(*args)
     except ScenefuseError as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
-    be.write_atomic(path, value + "\n" if codec is None else _dumps(codec.encode(value)))
+    write_atomic(path, value + "\n" if codec is None else _dumps(codec.encode(value)))
     return value
 
 
@@ -397,5 +422,5 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )
-    be.write_atomic(out / "prefs.json", _dumps(report.to_dict()))
+    write_atomic(out / "prefs.json", _dumps(report.to_dict()))
     return report

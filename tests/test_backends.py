@@ -148,20 +148,83 @@ def test_cache_outlives_the_client(tmp_path):
 )
 def test_corrupt_cache_entry_is_a_miss_and_gets_repaired(tmp_path, damage):
     BackendClient(FlakyTransport(0), cache_dir=tmp_path).complete(request("alpha"))
-    (entry,) = tmp_path.glob("*.json")
-    good = entry.read_text(encoding="utf-8")
-    entry.write_bytes(damage(good).encode("utf-8", "surrogateescape"))
+    log = tmp_path / "completions.jsonl"
+    good = log.read_text(encoding="utf-8")
+    assert good.startswith("\n") and good.count("\n") == 1  # one record, led by its newline
+    log.write_bytes(("\n" + damage(good[1:])).encode("utf-8", "surrogateescape"))
     transport = FlakyTransport(0)
     client = BackendClient(transport, cache_dir=tmp_path)
     assert client.complete(request("alpha")) == "echo: alpha"
     assert transport.attempts == 1  # the request was sent again
     assert client.calls == 1
-    assert entry.read_text(encoding="utf-8") == good  # and the entry rewritten
-    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name]  # no temp left
-    # the repaired entry serves the next client from cache
+    assert log.read_text(encoding="utf-8", errors="replace").endswith(good)  # and re-recorded
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["completions.jsonl"]
+    # the repaired record serves the next client from cache
     fresh = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
     assert fresh.complete(request("alpha")) == "echo: alpha"
     assert fresh.calls == 0
+
+
+def test_a_torn_record_costs_only_itself(tmp_path):
+    writer = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    writer.complete(request("alpha"))
+    log = tmp_path / "completions.jsonl"
+    log.write_bytes(log.read_bytes()[:-10])  # a crash cut alpha's record short
+    writer.complete(request("beta"))
+    fresh = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    assert fresh.complete(request("beta")) == "echo: beta"
+    assert fresh.calls == 0
+    assert fresh.complete(request("alpha")) == "echo: alpha"
+    assert fresh.calls == 1
+
+
+def log_records(cache_dir) -> list[dict]:
+    text = (cache_dir / "completions.jsonl").read_text(encoding="utf-8")
+    assert text.startswith("\n")
+    return [json.loads(line) for line in text[1:].split("\n")]
+
+
+def test_threads_of_one_client_append_whole_records(tmp_path):
+    client = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    prompts = [f"prompt {i}" for i in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the load and the appends
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            completions = list(
+                pool.map(lambda p: client.complete(request(p)), prompts, timeout=30)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert completions == [f"echo: {p}" for p in prompts]
+    assert client.calls == len(prompts)
+    assert sorted(r["prompt"] for r in log_records(tmp_path)) == sorted(prompts)
+    fresh = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    assert [fresh.complete(request(p)) for p in prompts] == completions
+    assert fresh.calls == 0
+
+
+def test_two_clients_append_to_one_log(tmp_path):
+    clients = [BackendClient(FlakyTransport(0), cache_dir=tmp_path) for _ in range(2)]
+    prompts = [f"prompt {i}" for i in range(40)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(
+            pool.map(lambda i: clients[i % 2].complete(request(prompts[i])), range(40), timeout=30)
+        )
+    assert [c.calls for c in clients] == [20, 20]
+    assert sorted(r["prompt"] for r in log_records(tmp_path)) == sorted(prompts)
+    fresh = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    assert [fresh.complete(request(p)) for p in prompts] == [f"echo: {p}" for p in prompts]
+    assert fresh.calls == 0
+
+
+def test_a_log_that_cannot_be_read_or_appended_is_a_config_error(tmp_path):
+    (tmp_path / "completions.jsonl").mkdir()
+    client = BackendClient(FlakyTransport(0), cache_dir=tmp_path)
+    with pytest.raises(ConfigError, match="completions.jsonl"):
+        client.complete(request())
+    with pytest.raises(ConfigError, match="completions.jsonl"):
+        client.complete(request(), refresh=True)
 
 
 def test_refresh_bypasses_the_cached_completion(tmp_path):
@@ -172,9 +235,12 @@ def test_refresh_bypasses_the_cached_completion(tmp_path):
     assert client.complete(request()) == "stale"
     assert client.complete(request()) == "stale"
     assert client.complete(request(), refresh=True) == "fresh"
-    # the refreshed completion replaced the cache entry
+    # the refreshed completion replaced the cached one, here and on disk
     assert client.complete(request()) == "fresh"
     assert client.calls == 2
+    fresh = BackendClient(MockTransport(lambda req: "unused"), cache_dir=tmp_path)
+    assert fresh.complete(request()) == "fresh"
+    assert fresh.calls == 0
 
 
 def test_client_retries_transient_failures(tmp_path):
@@ -592,7 +658,7 @@ def test_build_backends_role_settings_and_cache_layout(tmp_path):
     assert not (tmp_path / "cache").exists()
     backends.complete(FACT_JUDGE, fact="Nick sails.", reference="Nick sails.")
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [FACT_JUDGE]
-    assert len(list(runtime.client.cache_dir.iterdir())) == 1
+    assert [p.name for p in runtime.client.cache_dir.iterdir()] == ["completions.jsonl"]
 
 
 def test_build_backends_mock_fixture_overrides_extractor_and_judge(tmp_path):

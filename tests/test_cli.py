@@ -459,6 +459,16 @@ def cache_dir_is_a_file(episode_dir, tmp_path):
     return write_config(tmp_path, {"cache_dir": "cache"})
 
 
+def directory_at(*parts, config=None):
+    """A directory where a file is wanted, under ``tmp_path``; ``config`` is written first."""
+
+    def prepare(episode_dir, tmp_path):
+        tmp_path.joinpath(*parts).mkdir(parents=True)
+        return write_config(tmp_path, config) if config else []
+
+    return prepare
+
+
 def fixture_holding(fixture):
     def prepare(episode_dir, tmp_path):
         (tmp_path / "fixture.json").write_text(json.dumps(fixture), encoding="utf-8")
@@ -608,6 +618,19 @@ def fixture_holding(fixture):
         (cache_dir_is_a_file, ["segment"], 2),
         (file_at("out"), ["summarize"], 2),
         (file_at("out"), ["evaluate", "--summary-file", "ep1/transcript.txt"], 2),
+        (directory_at("out", "ep1", "partition.json"), ["summarize"], 2),
+        (
+            directory_at("out", "ep1", "prefs.json"),
+            ["evaluate", "--summary-file", "ep1/transcript.txt"],
+            2,
+        ),
+        (
+            directory_at(
+                "cache", "dialogue_summarizer", "completions.jsonl", config={"cache_dir": "cache"}
+            ),
+            ["summarize"],
+            2,
+        ),
     ],
     ids=[
         "visual-not-json", "transcript-not-utf8", "missing-template", "fixture-not-json",
@@ -623,7 +646,8 @@ def fixture_holding(fixture):
         "endpoint-not-string", "model-name-not-string", "temperature-nan", "rate-limit-nan",
         "rate-limit-infinite", "max-output-tokens-negative", "max-output-tokens-zero",
         "endpoint-not-a-url", "endpoint-not-http", "cache-dir-is-a-file", "out-is-a-file",
-        "eval-out-is-a-file",
+        "eval-out-is-a-file", "artifact-is-a-directory", "prefs-is-a-directory",
+        "completion-log-is-a-directory",
     ],
 )
 def test_unreadable_inputs_exit_with_their_code(
@@ -638,6 +662,7 @@ def test_unreadable_inputs_exit_with_their_code(
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("config error: " if expected == 2 else "data error: ")
+    assert not list(tmp_path.rglob("*.tmp.*"))  # no temp file left behind
 
 
 def test_mocks_follow_custom_prompt_templates(capsys, tmp_path, episode_dir):

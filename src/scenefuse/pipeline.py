@@ -298,6 +298,27 @@ def _decode(text: str, codec: Codec | None):
     return text[:-1]
 
 
+def _temp_path(path: Path) -> Path:
+    return path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+
+
+def check_writable(path: Path) -> None:
+    """Raise now the ConfigError that write_atomic(path, ...) would raise.
+
+    Creates and removes write_atomic's temp file beside ``path`` and
+    leaves ``path`` as it is, so a command can fail before its first
+    request instead of after all of them.
+    """
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    tmp = _temp_path(path)
+    try:
+        tmp.touch()
+        tmp.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Write text through a per-thread temp file and os.replace.
 
@@ -305,7 +326,7 @@ def write_atomic(path: Path, text: str) -> None:
     write. A path that cannot be written is a ConfigError, and the temp
     file is removed.
     """
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp = _temp_path(path)
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
@@ -419,6 +440,7 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
         raise DataError(f"episode {episode.id} has no gold summaries")
     out = config.out_dir / episode.id
     make_dir(out, "--out directory")
+    check_writable(out / "prefs.json")
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )

@@ -665,6 +665,29 @@ def test_unreadable_inputs_exit_with_their_code(
     assert not list(tmp_path.rglob("*.tmp.*"))  # no temp file left behind
 
 
+def test_evaluate_with_nowhere_to_write_sends_no_request(
+    capsys, monkeypatch, tmp_path, episode_dir
+):
+    requests = []
+    for role in (backends.FACT_EXTRACTOR, backends.FACT_JUDGE):
+        mock = backends._DEFAULT_MOCKS[role]
+        monkeypatch.setitem(
+            backends._DEFAULT_MOCKS, role, lambda req, mock=mock: requests.append(req) or mock(req)
+        )
+    (tmp_path / "out" / "ep1" / "prefs.json").mkdir(parents=True)
+    config = write_config(tmp_path, {"cache_dir": "cache"})
+    code, out, err = run(
+        capsys, *config, "--mock", "--episode", episode_dir, "--out", tmp_path / "out",
+        "evaluate", "--summary-file", episode_dir / "transcript.txt",
+    )
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("config error: cannot write ")
+    assert requests == []  # no upstream call
+    assert not (tmp_path / "cache").exists()  # so no completion log either
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
 def test_mocks_follow_custom_prompt_templates(capsys, tmp_path, episode_dir):
     # other wording, markers in another order, a colon in the first line
     templates = {

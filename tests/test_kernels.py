@@ -1,4 +1,9 @@
-"""Numeric kernels: the bit-parallel LCS must equal the textbook DP exactly."""
+"""Numeric kernels: the bit-parallel LCS must equal the textbook DP exactly.
+
+The per-pair LCS loop, the fancy-index anti-diagonal DTW fill and the
+scalar backtrack below are the kernels' previous implementations, kept as
+oracles: the packed-lane and strided kernels must return the same bytes.
+"""
 
 import numpy as np
 import pytest
@@ -175,3 +180,123 @@ def test_public_entry_points_use_the_active_backend():
     assert lcs_length_codes(a, b) == 6
     cost = pair_cost_matrix([a], [b])
     assert cost[0, 0] == 0.0
+
+
+def _match_masks_oracle(codes: list[int]) -> dict[int, int]:
+    masks: dict[int, int] = {}
+    for i, c in enumerate(codes):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    return masks
+
+
+def _lcs_bits_oracle(masks: dict[int, int], la: int, other: list[int]) -> int:
+    full = (1 << la) - 1
+    v = full
+    for c in other:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return la - v.bit_count()
+
+
+def pair_cost_matrix_oracle(lines, cues) -> np.ndarray:
+    """One bit-parallel LCS per (line, cue) pair."""
+    cue_codes = [np.asarray(cue).tolist() for cue in cues]
+    out = np.empty((len(lines), len(cues)), np.float64)
+    for i, line in enumerate(lines):
+        codes = np.asarray(line).tolist()
+        la = len(codes)
+        masks = _match_masks_oracle(codes)
+        for j, cue in enumerate(cue_codes):
+            lb = len(cue)
+            if la == 0 or lb == 0:
+                out[i, j] = 1.0
+            else:
+                out[i, j] = 1.0 - _lcs_bits_oracle(masks, la, cue) / min(la, lb)
+    return out
+
+
+def dtw_table_oracle(cost) -> np.ndarray:
+    """Anti-diagonal fill through np.arange index gathers."""
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    m, k = cost.shape
+    d = np.full((m + 1, k + 1), np.inf)
+    d[1, 1] = cost[0, 0]
+    for s in range(3, m + k + 1):
+        i = np.arange(max(1, s - k), min(m, s - 1) + 1)
+        j = s - i
+        best = np.minimum(d[i - 1, j - 1], np.minimum(d[i - 1, j], d[i, j - 1]))
+        d[i, j] = cost[i - 1, j - 1] + best
+    return d[1:, 1:]
+
+
+def dtw_backtrack_oracle(d) -> list[tuple[int, int]]:
+    """One NumPy scalar read per predecessor, ties resolved by min()."""
+    i, j = d.shape[0] - 1, d.shape[1] - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            steps = ((d[i - 1, j - 1], i - 1, j - 1),
+                     (d[i - 1, j], i - 1, j),
+                     (d[i, j - 1], i, j - 1))
+            _, i, j = min(steps, key=lambda s: s[0])
+        elif i > 0:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    path.reverse()
+    return path
+
+
+def ragged_codes(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """Empty, short, past-64 and past-1000 sequences over a small alphabet,
+    half of them of code points above U+FFFF."""
+    out = []
+    for _ in range(count):
+        length = int(rng.choice([0, int(rng.integers(1, 9)), int(rng.integers(60, 140)),
+                                 int(rng.integers(1001, 1100))], p=[0.1, 0.4, 0.4, 0.1]))
+        base = 0x1F600 if rng.random() < 0.5 else 97
+        out.append(rng.integers(base, base + 5, size=length).astype(np.int32))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_cost_matrix_equals_per_pair_oracle(seed):
+    rng = np.random.default_rng(seed)
+    empty = encode_text("")
+    lines = [empty, *ragged_codes(rng, int(rng.integers(0, 13)))]
+    cues = [*ragged_codes(rng, int(rng.integers(0, 9))), empty]
+    expected = pair_cost_matrix_oracle(lines, cues)
+    got = pair_cost_matrix(lines, cues)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_lane_whose_lcs_is_its_whole_length_keeps_its_neighbours_exact():
+    # each match in a lane matched in full carries out of the lane's top
+    # bit, into its zero guard bit; the lane above has already lost ones
+    # to "xyz" by then, so a carry that leaked into it would show. Lengths
+    # 7, 8 and 9 put the guard bit at the end of a byte and past it.
+    cue_text = "xyz abcdefghi"
+    texts = ["abcdefg", "zyx", "abcdefgh", "xyz", "abcdefghi", "zz", "", "ihgfedcba", "aaaa"]
+    lines = [encode_text(t) for t in texts]
+    cue = encode_text(cue_text)
+    got = pair_cost_matrix(lines, [cue])
+    assert got.tobytes() == pair_cost_matrix_oracle(lines, [cue]).tobytes()
+    assert got[:, 0].tolist() == [0.0, 1 - 1 / 3, 0.0, 0.0, 0.0, 0.5, 1.0, 1 - 1 / 9, 0.75]
+    for line, text in zip(lines, texts):
+        assert lcs_length_codes(line, cue) == lcs_reference(text, cue_text)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 2), (1, 30), (2, 1), (30, 1), (2, 2), (7, 19), (19, 7), (24, 27)]
+)
+def test_dtw_table_and_backtrack_equal_the_oracles(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    # few distinct costs, so equal-cost predecessors and ties are common
+    for cost in (rng.random(shape), rng.integers(0, 3, size=shape) / 2):
+        table = dtw_table(cost)
+        expected = dtw_table_oracle(cost)
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+        assert dtw_backtrack(table) == dtw_backtrack_oracle(expected)

@@ -338,10 +338,19 @@ def write_atomic(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _stage(path: Path, name: str, codec: Codec | None, compute: Callable, *args):
-    """compute(*args), persisted at path; a file there that decodes wins."""
+def _stage(
+    path: Path, name: str, codec: Codec | None, compute: Callable, *args,
+    fits: Callable[[Any], bool] | None = None,
+):
+    """compute(*args), persisted at path.
+
+    A file there wins if it decodes and, given fits, if fits(value) holds;
+    otherwise it is recomputed and overwritten.
+    """
     try:
-        return _decode(path.read_text(encoding="utf-8"), codec)
+        value = _decode(path.read_text(encoding="utf-8"), codec)
+        if fits is None or fits(value):
+            return value
     except FileNotFoundError:
         pass  # not computed yet
     except OSError as exc:
@@ -378,6 +387,15 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
     partition = _stage(
         out / "partition.json", "segment", _PARTITION, compute_partition, episode, config
     )
+    # a later stage's file written for another partition does not fit this one
+    n = len(partition.scenes)
+
+    def per_scene(values: list) -> bool:
+        return len(values) == n
+
+    def permutes_scenes(order: SceneOrder) -> bool:
+        perm = order.permutation
+        return all(type(i) is int for i in perm) and sorted(perm) == list(range(n))
 
     alignment = None
     time_spans = None
@@ -387,28 +405,28 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
         )
         time_spans = _stage(
             out / "spans.json", "align", _SPANS,
-            scene_time_spans, partition, alignment, episode.captions,
+            scene_time_spans, partition, alignment, episode.captions, fits=per_scene,
         )
 
     scene_captions: list[SceneCaption] = []
     if not config.skip_vision:
         scene_captions = _stage(
             out / "captions.json", "caption", _CAPTIONS,
-            compute_captions, episode, partition, config,
+            compute_captions, episode, partition, config, fits=per_scene,
         )
 
     scene_summaries: list[str] = []
     if not config.skip_transcript:
         scene_summaries = _stage(
             out / "summaries.json", "summarize", _SUMMARIES,
-            compute_summaries, episode, partition, config,
+            compute_summaries, episode, partition, config, fits=per_scene,
         )
 
     rosters = [scene.roster for scene in partition.scenes]
     order = _stage(
         out / "order.json", "reorder",
         Codec(partial(order_to_dict, rosters), SceneOrder.from_dict),
-        compute_order, partition, config,
+        compute_order, partition, config, fits=permutes_scenes,
     )
 
     fusion_input = _stage(

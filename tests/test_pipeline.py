@@ -324,6 +324,72 @@ def test_pipeline_recomputes_a_corrupt_artifact(tmp_path, name, damage):
     assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES)
 
 
+# valid JSON that decodes but does not fit the partition's 3 scenes
+MISFITS = [
+    pytest.param("spans.json", lambda data: data[:-1], id="short-spans"),
+    pytest.param("captions.json", lambda data: data + data[-1:], id="long-captions"),
+    pytest.param("summaries.json", lambda data: data[:-1], id="short-summaries"),
+    pytest.param(
+        "order.json", lambda data: {**data, "permutation": [0, 1, 2, 3]}, id="long-order"
+    ),
+    pytest.param(
+        "order.json", lambda data: {**data, "permutation": [0, 0, 1]}, id="repeated-order"
+    ),
+    pytest.param(
+        "order.json", lambda data: {**data, "permutation": [0.0, 1, 2]}, id="float-order"
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "misfit"), MISFITS)
+def test_pipeline_recomputes_an_artifact_that_does_not_fit_the_partition(
+    tmp_path, name, misfit
+):
+    episode = standard_episode(tmp_path)
+    fresh = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache-fresh"),
+        out_dir=tmp_path / "fresh",
+    )
+    run_pipeline(episode, fresh)
+    expected = {n: (tmp_path / "fresh" / "ep1" / n).read_bytes() for n in STAGE_FILES}
+
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run_pipeline(episode, config)
+    out = tmp_path / "out" / "ep1"
+    data = json.loads((out / name).read_text(encoding="utf-8"))
+    (out / name).write_text(json.dumps(misfit(data)), encoding="utf-8")
+
+    run_pipeline(episode, config)
+    assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
+
+
+def test_pipeline_recomputes_stages_written_for_another_partition(tmp_path):
+    episode = standard_episode(tmp_path)
+    fresh = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache-fresh"),
+        out_dir=tmp_path / "fresh",
+        uniform_chunks=True,
+    )
+    assert len(run_pipeline(episode, fresh).partition.scenes) == 1
+    expected = {n: (tmp_path / "fresh" / "ep1" / n).read_bytes() for n in STAGE_FILES}
+
+    # three MDL scenes first; then only the partition and what follows
+    # from the summaries are deleted, and the rerun chunks uniformly
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run_pipeline(episode, config)
+    out = tmp_path / "out" / "ep1"
+    for name in ("partition.json", "fusion_input.txt", "summary.txt"):
+        (out / name).unlink()
+    config.uniform_chunks = True
+    artifacts = run_pipeline(episode, config)
+    assert artifacts.order.permutation == (0,)
+    assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
+
+
 def test_pipeline_stage_errors_name_the_stage(tmp_path):
     episode = standard_episode(tmp_path)
     backends = build_uncached_backends()

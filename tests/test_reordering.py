@@ -8,7 +8,8 @@ from scenefuse import reordering
 from scenefuse.errors import TooLarge
 from scenefuse.reordering import (
     SceneOrder,
-    _distances,
+    _distance,
+    _masks,
     brute_force_reorder,
     causality,
     iou,
@@ -196,25 +197,86 @@ def test_distance_matrix_equals_pairwise_iou_exactly():
     rng = random.Random(41)
     for _ in range(200):
         sets = small_pool_rosters(rng, rng.randint(1, 12)) + random_rosters(rng, 3)
-        dist, shares = _distances(sets)
+        masks = _masks(sets)
+        dist = [[_distance(a, b) for b in masks] for a in masks]
         assert dist == [[1.0 - iou(a, b) for b in sets] for a in sets]
         assert all(type(d) is float for row in dist for d in row)
-        assert shares == [[bool(a & b) for b in sets] for a in sets]
+        assert [[bool(a & b) for b in masks] for a in masks] == [
+            [bool(a & b) for b in sets] for a in sets
+        ]
+
+
+def logged_folds(monkeypatch):
+    """Every _fold_move call as (lo, head, verdict); verdict -1 keeps the move."""
+    folds = []
+    real_fold_move = reordering._fold_move
+
+    def logging_fold_move(pair, run, lo, head, margin):
+        verdict = real_fold_move(pair, run, lo, head, margin)
+        folds.append((lo, tuple(head), verdict))
+        return verdict
+
+    monkeypatch.setattr(reordering, "_fold_move", logging_fold_move)
+    return folds
 
 
 def test_screen_skips_folding_moves_that_cannot_improve(monkeypatch):
-    folds = []
-    real_fold = reordering._fold
-
-    def counting_fold(dist, perm):
-        folds.append(tuple(perm))
-        return real_fold(dist, perm)
-
-    monkeypatch.setattr(reordering, "_fold", counting_fold)
-    # the one legal move puts B in front and raises the cost from 1 to 2
+    folds = logged_folds(monkeypatch)
+    # the one legal move puts B in front and raises the cost from 1 to 2:
+    # the screen rejects it, so nothing is folded
     assert reorder([{"Alice"}, {"Alice"}, {"Bob"}, {"Bob"}]).permutation == (0, 1, 2, 3)
-    assert folds == [(0, 1, 2, 3)]
-    # disjoint casts tie on every move: each is folded, none is kept
-    folds.clear()
+    assert folds == []
+    # disjoint casts tie on every move: each is folded, none is kept; the
+    # fold of (1, 0, 2) reaches the current total at index 2, and so does
+    # the fold of (2, 0, 1), whose last index is 2
     assert reorder([{"Alice"}, {"Bob"}, {"Charlie"}]).permutation == (0, 1, 2)
-    assert folds == [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
+    assert folds == [(0, (1.0, 1.0), 2), (0, (1.0, 1.0), 2)]
+
+
+def redone_folds(folds) -> int:
+    """Folds that redo a rejection at a position below the last move's lo.
+
+    After a move to dest, positions below dest - 1 (the kept move's lo)
+    are revisited only when their rejection read an index >= dest, so a
+    fold there redoes a fold rejection that the move made stale.
+    """
+    redone, moved_lo = 0, 0
+    for lo, head, verdict in folds:
+        # lo + len(head) - 1 is the moved position, or one less when it
+        # was the last one, which is never below a later move's lo
+        redone += lo + len(head) - 1 < moved_lo
+        if verdict < 0:
+            moved_lo = lo
+    return redone
+
+
+def test_incremental_greedy_equals_full_fold_greedy_on_long_transcripts():
+    # the shape of the long-transcript benchmark: 16 recurring names,
+    # 1-4 of them per scene
+    rng = random.Random(16)
+    cast = [f"Cast{i}" for i in range(16)]
+    for _ in range(6):
+        rosters = [set(rng.sample(cast, rng.randint(1, 4))) for _ in range(rng.randint(150, 300))]
+        order = reorder(rosters)
+        expected = reference_reorder(rosters)
+        assert order.permutation == expected.permutation
+        assert order.cost.hex() == expected.cost.hex()
+
+
+def test_incremental_greedy_redoes_stale_rejections_on_tie_heavy_lists(monkeypatch):
+    folds = logged_folds(monkeypatch)
+    rng = random.Random(0)
+    redone = 0
+    for _ in range(8):
+        # 3 or 4 names and empty rosters: thirds and halves that many
+        # orders tie on, so folds dip below the current total and rejoin it
+        pool = NAMES[: rng.randint(3, 4)]
+        n = rng.randint(100, 300)
+        rosters = [set(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(n)]
+        folds.clear()
+        order = reorder(rosters)
+        expected = reference_reorder(rosters)
+        assert order.permutation == expected.permutation
+        assert order.cost.hex() == expected.cost.hex()
+        redone += redone_folds(folds)
+    assert redone > 0

@@ -44,29 +44,11 @@ class Alignment:
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
 
-    def to_dict(self) -> dict:
-        return {
-            "path": [[line, cue] for line, cue in self.pairs],
-            "total_cost": self.total_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Alignment":
-        return cls(tuple((line, cue) for line, cue in data["path"]), data["total_cost"])
-
 
 @dataclass(frozen=True)
 class TimeSpan:
     start: int
     end: int
-
-    def to_dict(self) -> dict:
-        return {"start_ms": self.start, "end_ms": self.end}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeSpan":
-        """Inverse of to_dict; a "scene" index beside the fields is ignored."""
-        return cls(data["start_ms"], data["end_ms"])
 
 
 def dtw_align(lines: Sequence[str], cues: Sequence[str]) -> Alignment:
@@ -97,7 +79,3 @@ def scene_time_spans(
             TimeSpan(cues.cues[min(matched)].start, cues.cues[max(matched)].end)
         )
     return spans
-
-
-def spans_to_dicts(spans: Sequence[TimeSpan]) -> list[dict]:
-    return [{"scene": i, **s.to_dict()} for i, s in enumerate(spans)]

@@ -52,13 +52,6 @@ class SceneCaption:
     scene_index: int
     sentences: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"scene_index": self.scene_index, "sentences": list(self.sentences)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneCaption":
-        return cls(data["scene_index"], tuple(data["sentences"]))
-
 
 def load_lexicon(path: str | Path | None = None) -> GenderLexicon:
     """Read a `name<TAB>m|f` list; defaults to the bundled one."""

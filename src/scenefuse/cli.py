@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: segment, align, reorder, captions clean, summarize,
-evaluate, stats scene-split, stats welch. The first four are views: they
-call the pipeline's stage functions under the --config that summarize
-would use. Results print to stdout as JSON (or plain text for
-summaries); pipeline artifacts persist under --out. Exit codes: 0
-success, 2 config error, 3 backend error, 4 data error.
+evaluate, stats scene-split, stats welch. The first four are views over
+the pipeline's stage table: each computes its stages in a Run without
+persistence, under the --config that summarize would use, and prints
+what summarize writes to the stage's file (align prints the alignment
+and the spans file in one object). summarize persists every stage under
+--out and prints the summary; evaluate prints the PREFS report. Exit
+codes: 0 success, 2 config error, 3 backend error, 4 data error.
 """
 
 from __future__ import annotations
@@ -16,21 +18,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alignment import scene_time_spans, spans_to_dicts
 from .errors import BackendError, ConfigError, DataError, read_json, read_text
-from .model import Episode, Partition, load_episode
-from .pipeline import (
-    PipelineConfig,
-    compute_alignment,
-    compute_captions,
-    compute_order,
-    compute_partition,
-    config_from_dict,
-    read_summary,
-    run_eval,
-    run_pipeline,
-)
-from .reordering import order_to_dict
+from .model import Episode, load_episode
+from .pipeline import PipelineConfig, Run, config_from_dict, read_summary, run_eval, run_pipeline
 from .segmentation import optimal_partition
 from .stats import (
     SampleStats,
@@ -67,38 +57,32 @@ def _episode(args) -> Episode:
     return load_episode(args.episode)
 
 
-def _partitioned(args) -> tuple[Episode, PipelineConfig, Partition]:
-    episode = _episode(args)
-    config = _pipeline_config(args)
-    return episode, config, compute_partition(episode, config)
+def _view(args) -> Run:
+    return Run(_episode(args), _pipeline_config(args))
 
 
 def cmd_segment(args) -> int:
-    _, _, partition = _partitioned(args)
-    _print_json(partition.to_dict())
+    _print_json(_view(args).dump("segment"))
     return 0
 
 
 def cmd_align(args) -> int:
-    episode, _, partition = _partitioned(args)
-    alignment = compute_alignment(episode)
-    spans = scene_time_spans(partition, alignment, episode.captions)
-    _print_json({"alignment": alignment.to_dict(), "spans": spans_to_dicts(spans)})
+    run = _view(args)
+    spans = run.dump("spans")  # makes the partition before the alignment, as summarize does
+    _print_json({"alignment": run.dump("align"), "spans": spans})
     return 0
 
 
 def cmd_reorder(args) -> int:
-    _, config, partition = _partitioned(args)
-    order = compute_order(partition, config)
-    _print_json(order_to_dict([scene.roster for scene in partition.scenes], order))
+    _print_json(_view(args).dump("reorder"))
     return 0
 
 
 def cmd_captions_clean(args) -> int:
-    episode, config, partition = _partitioned(args)
-    if episode.precomputed_captions is None:
-        raise DataError(f"episode {episode.id} has no captions.visual.json")
-    _print_json([c.to_dict() for c in compute_captions(episode, partition, config)])
+    run = _view(args)
+    if run.episode.precomputed_captions is None:
+        raise DataError(f"episode {run.episode.id} has no captions.visual.json")
+    _print_json(run.dump("caption"))
     return 0
 
 

@@ -50,17 +50,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def to_text(self) -> str:
-        """Serialize back to the line format ``parse_transcript`` reads."""
-        breaks = set(self.explicit_breaks)
-        parts: list[str] = []
-        for ln in self.lines:
-            if ln.index in breaks and ln.index > 0:
-                parts.append(SCENE_BREAK_TOKEN)
-            parts.append(f"{ln.speaker}: {ln.text}".rstrip())
-            parts.extend(ln.annotations)
-        return "\n".join(parts) + "\n"
-
 
 @dataclass(frozen=True)
 class CaptionCue:
@@ -93,14 +82,6 @@ class Scene:
     def n_speakers(self) -> int:
         return len(self.roster)
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "roster": sorted(self.roster),
-            "cost_bits": self.cost_bits,
-        }
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -110,22 +91,6 @@ class Partition:
     @property
     def breaks(self) -> tuple[int, ...]:
         return tuple(s.start for s in self.scenes[1:])
-
-    def to_dict(self) -> dict:
-        return {
-            "breaks": list(self.breaks),
-            "scenes": [s.to_dict() for s in self.scenes],
-            "total_cost_bits": self.total_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Partition":
-        """Inverse of to_dict; the derived "breaks" are ignored."""
-        scenes = tuple(
-            Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"])
-            for s in data["scenes"]
-        )
-        return cls(scenes, data["total_cost_bits"])
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """End-to-end episode processing.
 
-Stage order: segment, align, caption, scene-summarize, reorder, fuse.
-Each stage is one compute_* function of the episode or partition and
-the config; the CLI views call the same functions. Every stage's output
-is persisted under the output directory before the next stage runs, as
-JSON in the format its domain type's to_dict/from_dict define, or as
-text. A rerun loads whatever already exists, so deleting one artifact
-re-executes exactly that stage. An artifact that does not decode
-(truncated, not JSON, missing fields) is recomputed the same way.
-Artifacts are written through a temp file and os.replace, so a crash
-leaves the old file or none, never half of one. An artifact path that
-cannot be read or written (a directory, say) is a ConfigError. Ablation
+STAGES declares each stage once, in pipeline order: segment, align (the
+alignment, then the per-scene time spans), caption, summarize, reorder,
+fuse-input, fuse; each entry holds the stage's file, compute and JSON
+format. A Run gives each stage's value once, on first use, and a compute
+reads the values it needs from the run. The CLI views only compute.
+
+run_pipeline also persists: it reuses a stage file that loads into a
+value of this run and computes and writes any other, so a deleted, cut
+or corrupt file re-executes exactly its stage. Before its first compute
+it checks that every stage file can be written, and it writes each
+through a temp file and os.replace, so a crash leaves the old file or
+none. A path that cannot be read or written is a ConfigError. Ablation
 flags drop a stage and its content from the fusion input.
 """
 
@@ -21,12 +22,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import backends as be
-from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans, spans_to_dicts
+from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans
 from .captions import GenderLexicon, SceneCaption, load_lexicon, postprocess_captions
 from .errors import (
     BudgetTooSmall,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .model import Episode, Partition, Scene, Transcript
 from .prefs import PrefsReport, prefs_multi_reference, split_sentences
-from .reordering import SceneOrder, order_cost, order_to_dict, reorder
+from .reordering import SceneOrder, order_cost, reorder
 from .segmentation import effective_partition, partition_from_breaks
 
 UNIFORM_CHUNK_TOKENS = 1024
@@ -209,114 +209,229 @@ def assemble_fusion_input(
     return render()
 
 
-def compute_partition(episode: Episode, config: PipelineConfig) -> Partition:
+def _segment(run: Run) -> Partition:
     """Token windows under uniform_chunks, else the markers or the MDL optimum."""
-    transcript = episode.transcript
-    if config.uniform_chunks:
+    transcript = run.episode.transcript
+    if run.config.uniform_chunks:
         return partition_from_breaks(transcript, uniform_chunk_breaks(transcript))
     return effective_partition(transcript)
 
 
-def compute_alignment(episode: Episode) -> Alignment:
+def _align(run: Run) -> Alignment:
+    episode = run.episode
     if episode.captions is None:
         raise DataError(f"episode {episode.id} has no caption track")
-    return dtw_align(
-        [ln.text for ln in episode.transcript.lines],
-        [cue.text for cue in episode.captions.cues],
-    )
+    lines = [ln.text for ln in episode.transcript.lines]
+    return dtw_align(lines, [cue.text for cue in episode.captions.cues])
 
 
-def compute_captions(
-    episode: Episode, partition: Partition, config: PipelineConfig
-) -> list[SceneCaption]:
+def _spans(run: Run) -> list[TimeSpan]:
+    return scene_time_spans(run["segment"], run["align"], run.episode.captions)
+
+
+def _caption(run: Run) -> list[SceneCaption]:
     """Each scene's precomputed visual caption, cleaned against its roster."""
-    pre = episode.precomputed_captions or ()
-    captions: list[SceneCaption] = []
-    for i, scene in enumerate(partition.scenes):
-        cleaned = postprocess_captions(pre[i:i + 1], scene.roster, config.lexicon)
-        captions.append(SceneCaption(i, tuple(cleaned)))
-    return captions
+    pre = run.episode.precomputed_captions or ()
+    lexicon = run.config.lexicon
+    return [
+        SceneCaption(i, tuple(postprocess_captions(pre[i:i + 1], scene.roster, lexicon)))
+        for i, scene in enumerate(run["segment"].scenes)
+    ]
 
 
-def compute_summaries(
-    episode: Episode, partition: Partition, config: PipelineConfig
-) -> list[str]:
-    lines = episode.transcript.lines
+def _summarize(run: Run) -> list[str]:
+    lines = run.episode.transcript.lines
+    scenes = run["segment"].scenes
 
     def one(scene: Scene) -> str:
         dialogue = [(ln.speaker, ln.text) for ln in lines[scene.start:scene.end]]
-        return be.summarize_scene(dialogue, config.backends)
+        return be.summarize_scene(dialogue, run.config.backends)
 
-    workers = max(1, min(config.max_workers, len(partition.scenes)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, partition.scenes))
+    with ThreadPoolExecutor(max_workers=max(1, min(run.config.max_workers, len(scenes)))) as pool:
+        return list(pool.map(one, scenes))
 
 
-def compute_order(partition: Partition, config: PipelineConfig) -> SceneOrder:
-    rosters = [scene.roster for scene in partition.scenes]
-    if config.skip_reorder:
+def _reorder(run: Run) -> SceneOrder:
+    rosters = [scene.roster for scene in run["segment"].scenes]
+    if run.config.skip_reorder:
         return SceneOrder(tuple(range(len(rosters))), order_cost(rosters))
     return reorder(rosters)
 
 
-def compute_final_summary(fusion_input: str, config: PipelineConfig) -> str:
-    summary = config.backends.complete(be.FUSION_SUMMARIZER, notes=fusion_input).strip()
+def _fuse_input(run: Run) -> str:
+    captions = [c.sentences for c in run.get("caption", [])]
+    return assemble_fusion_input(
+        run.get("summarize", []), captions, run["reorder"], run.config.context_budget
+    )
+
+
+def _fuse(run: Run) -> str:
+    summary = run.config.backends.complete(be.FUSION_SUMMARIZER, notes=run["fuse-input"]).strip()
     if not summary:
         raise EmptyCompletion("fusion summarizer returned a blank completion")
     return summary
 
 
-class Codec(NamedTuple):
-    """A JSON artifact's format: value to JSON tree, and back."""
-
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any], Any]
+_INDEX, _TEXT, _COST = {int}, {str}, {int, float}
 
 
-def _each(convert: Callable[[Any], Any], items: Iterable) -> list:
-    return [convert(item) for item in items]
+def _typed(kinds: set, values):
+    """values, if the type of each is in kinds; true and false are bools, not ints."""
+    if not set(map(type, values)) <= kinds:
+        raise TypeError(f"a value is not of {kinds}")
+    return values
 
 
-_PARTITION = Codec(Partition.to_dict, Partition.from_dict)
-_ALIGNMENT = Codec(Alignment.to_dict, Alignment.from_dict)
-_SPANS = Codec(spans_to_dicts, partial(_each, TimeSpan.from_dict))
-_CAPTIONS = Codec(partial(_each, SceneCaption.to_dict), partial(_each, SceneCaption.from_dict))
-_SUMMARIES = Codec(list, list)
-_TEXT = None  # a text artifact is its text plus one closing newline
+def _per_scene(run: Run, tree) -> list:
+    if not isinstance(tree, list) or len(tree) != len(run["segment"].scenes):
+        raise ValueError("not one entry per scene")
+    return tree
+
+
+def _dump_partition(run: Run, p: Partition) -> dict:
+    scenes = [
+        {"start": s.start, "end": s.end, "roster": sorted(s.roster), "cost_bits": s.cost_bits}
+        for s in p.scenes
+    ]
+    return {"breaks": list(p.breaks), "scenes": scenes, "total_cost_bits": p.total_cost}
+
+
+def _load_partition(run: Run, tree) -> Partition:
+    scenes = tuple(
+        Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"]) for s in tree["scenes"]
+    )
+    partition = Partition(scenes, tree["total_cost_bits"])  # "breaks" follow from the scenes
+    _typed(_INDEX, [i for s in scenes for i in (s.start, s.end)])
+    _typed(_TEXT, [name for s in scenes for name in s.roster])
+    _typed(_COST, [partition.total_cost, *(s.cost_bits for s in scenes)])
+    return partition
+
+
+def _dump_alignment(run: Run, alignment: Alignment) -> dict:
+    return {"path": [list(pair) for pair in alignment.pairs], "total_cost": alignment.total_cost}
+
+
+def _load_alignment(run: Run, tree) -> Alignment:
+    alignment = Alignment(tuple((line, cue) for line, cue in tree["path"]), tree["total_cost"])
+    _typed(_INDEX, [i for pair in alignment.pairs for i in pair])
+    _typed(_COST, [alignment.total_cost])
+    return alignment
+
+
+def _dump_spans(run: Run, spans: list[TimeSpan]) -> list[dict]:
+    return [{"scene": i, "start_ms": s.start, "end_ms": s.end} for i, s in enumerate(spans)]
+
+
+def _load_spans(run: Run, tree) -> list[TimeSpan]:
+    spans = [TimeSpan(d["start_ms"], d["end_ms"]) for d in _per_scene(run, tree)]
+    _typed(_INDEX, [ms for s in spans for ms in (s.start, s.end)])
+    return spans
+
+
+def _dump_captions(run: Run, captions: list[SceneCaption]) -> list[dict]:
+    return [{"scene_index": c.scene_index, "sentences": list(c.sentences)} for c in captions]
+
+
+def _load_captions(run: Run, tree) -> list[SceneCaption]:
+    rows = _per_scene(run, tree)
+    captions = [SceneCaption(row["scene_index"], tuple(row["sentences"])) for row in rows]
+    _typed(_INDEX, [c.scene_index for c in captions])
+    _typed(_TEXT, [s for c in captions for s in c.sentences])
+    return captions
+
+
+def _dump_summaries(run: Run, summaries: list[str]) -> list[str]:
+    return list(summaries)
+
+
+def _load_summaries(run: Run, tree) -> list[str]:
+    return _typed(_TEXT, _per_scene(run, tree))
+
+
+def _dump_order(run: Run, order: SceneOrder) -> dict:
+    rosters = [scene.roster for scene in run["segment"].scenes]
+    return {
+        "permutation": list(order.permutation),
+        "reordered_cost": order.cost,
+        "original_cost": order_cost(rosters),
+    }
+
+
+def _load_order(run: Run, tree) -> SceneOrder:
+    order = SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"])
+    _typed(_COST, [order.cost])
+    if sorted(_typed(_INDEX, order.permutation)) != list(range(len(run["segment"].scenes))):
+        raise ValueError("not a permutation of the scenes")
+    return order
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 
-def _decode(text: str, codec: Codec | None):
-    if codec is not None:
-        return codec.decode(json.loads(text))
-    # a text artifact without its closing newline was cut short
-    if not text.endswith("\n"):
-        raise ValueError("text artifact lacks its closing newline")
-    return text[:-1]
+class Stage(NamedTuple):
+    """One stage file: the stage's name in errors, the file, compute and format.
+
+    dump gives a value's JSON tree. load gives the tree's value, and
+    raises ValueError, KeyError, TypeError or IndexError on a tree that
+    is not a value of the run: of other JSON types, without one entry
+    per scene, or not a permutation of the scenes. A text stage has
+    neither; its file is the text and a closing newline.
+    """
+
+    name: str
+    file: str
+    compute: Callable[[Run], Any]
+    dump: Callable[[Run, Any], Any] | None = None
+    load: Callable[[Run, Any], Any] | None = None
+
+    def encode(self, run: Run, value) -> str:
+        return value + "\n" if self.dump is None else _dumps(self.dump(run, value))
+
+    def decode(self, run: Run | None, text: str):
+        if self.load is not None:
+            return self.load(run, json.loads(text))
+        if not text.endswith("\n"):  # cut short
+            raise ValueError("text artifact lacks its closing newline")
+        return text[:-1]
+
+
+# one entry per stage file, in pipeline order
+STAGES = {
+    "segment": Stage("segment", "partition.json", _segment, _dump_partition, _load_partition),
+    "align": Stage("align", "alignment.json", _align, _dump_alignment, _load_alignment),
+    "spans": Stage("align", "spans.json", _spans, _dump_spans, _load_spans),
+    "caption": Stage("caption", "captions.json", _caption, _dump_captions, _load_captions),
+    "summarize": Stage(
+        "summarize", "summaries.json", _summarize, _dump_summaries, _load_summaries
+    ),
+    "reorder": Stage("reorder", "order.json", _reorder, _dump_order, _load_order),
+    "fuse-input": Stage("fuse-input", "fusion_input.txt", _fuse_input),
+    "fuse": Stage("fuse", "summary.txt", _fuse),
+}
 
 
 def _temp_path(path: Path) -> Path:
     return path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
 
 
-def check_writable(path: Path) -> None:
-    """Raise now the ConfigError that write_atomic(path, ...) would raise.
+def check_writable(*paths: Path) -> None:
+    """Raise now the ConfigError that write_atomic would raise for any of paths.
 
-    Creates and removes write_atomic's temp file beside ``path`` and
-    leaves ``path`` as it is, so a command can fail before its first
-    request instead of after all of them.
+    The paths share one directory: none may be a directory, and one temp
+    file beside the first tests the directory for all, since creating a
+    file can take half a millisecond. Every path is left as it is, so a
+    command fails before its first request instead of after them all.
     """
-    if path.is_dir():
-        raise ConfigError(f"cannot write {path}: Is a directory")
-    tmp = _temp_path(path)
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: Is a directory")
+    tmp = _temp_path(paths[0])
     try:
         tmp.touch()
         tmp.unlink()
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write {paths[0]}: {exc.strerror or exc}") from exc
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -338,116 +453,90 @@ def write_atomic(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _stage(
-    path: Path, name: str, codec: Codec | None, compute: Callable, *args,
-    fits: Callable[[Any], bool] | None = None,
-):
-    """compute(*args), persisted at path.
+class Run:
+    """Each stage's value for one episode and config, made once on first use.
 
-    A file there wins if it decodes and, given fits, if fits(value) holds;
-    otherwise it is recomputed and overwritten.
+    run[key] is the value of STAGES[key]. stages holds the keys of the
+    stages that run_pipeline makes, and get gives a default for the
+    others. With out, a stage file there that loads is the value, and
+    any other value is computed and written there.
     """
-    try:
-        value = _decode(path.read_text(encoding="utf-8"), codec)
-        if fits is None or fits(value):
-            return value
-    except FileNotFoundError:
-        pass  # not computed yet
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError, IndexError):
-        pass  # corrupt or truncated: recompute and overwrite it
-    try:
-        value = compute(*args)
-    except ScenefuseError as exc:
-        raise type(exc)(f"stage {name}: {exc}") from exc
-    write_atomic(path, value + "\n" if codec is None else _dumps(codec.encode(value)))
-    return value
+
+    def __init__(self, episode: Episode, config: PipelineConfig, out: Path | None = None):
+        self.episode, self.config, self.out = episode, config, out
+        uncaptioned = episode.captions is None
+        skipped = {"align": uncaptioned, "spans": uncaptioned,
+                   "caption": config.skip_vision, "summarize": config.skip_transcript}
+        self.stages = [key for key in STAGES if not skipped.get(key)]
+        self._values: dict[str, Any] = {}
+        self._unchecked = True
+
+    def __getitem__(self, key: str):
+        if key not in self._values:
+            self._values[key] = self._make(STAGES[key])
+        return self._values[key]
+
+    def get(self, key: str, default=None):
+        return self[key] if key in self.stages else default
+
+    def dump(self, key: str):
+        return STAGES[key].dump(self, self[key])
+
+    def _make(self, stage: Stage):
+        path = self.out and self.out / stage.file
+        if path:
+            try:
+                return stage.decode(self, path.read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                pass  # not computed yet
+            except OSError as exc:
+                raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+            except (ValueError, KeyError, TypeError, IndexError):
+                pass  # corrupt, or not this run's: recompute and overwrite it
+            if self._unchecked:  # fail before the first request, not after the last
+                self._unchecked = False
+                check_writable(*(self.out / STAGES[key].file for key in self.stages))
+        try:
+            value = stage.compute(self)
+        except ScenefuseError as exc:
+            if not hasattr(exc, "stage"):  # not named yet by a stage this one read
+                exc.stage = stage.name
+                exc.args = (f"stage {stage.name}: {exc}",)
+            raise
+        if path:
+            write_atomic(path, stage.encode(self, value))
+        return value
 
 
 def read_summary(episode: Episode, config: PipelineConfig) -> str:
-    """The summary a run persisted, decoded as the fuse stage decodes it."""
-    path = config.out_dir / episode.id / "summary.txt"
+    """The summary a run persisted, decoded by the fuse stage."""
+    stage = STAGES["fuse"]
+    path = config.out_dir / episode.id / stage.file
     if not path.is_file():
         raise DataError(
             f"no summary to evaluate: pass --summary-file or run summarize first "
             f"(looked for {path})"
         )
     try:
-        return _decode(path.read_text(encoding="utf-8"), _TEXT)
+        return stage.decode(None, path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path} is cut short or unreadable ({exc}); rerun summarize") from exc
 
 
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
-    """Execute all stages for one episode, reusing persisted artifacts."""
+    """Make every stage for one episode, in order, reusing persisted files."""
     out = config.out_dir / episode.id
     make_dir(out, "--out directory")
-
-    partition = _stage(
-        out / "partition.json", "segment", _PARTITION, compute_partition, episode, config
-    )
-    # a later stage's file written for another partition does not fit this one
-    n = len(partition.scenes)
-
-    def per_scene(values: list) -> bool:
-        return len(values) == n
-
-    def permutes_scenes(order: SceneOrder) -> bool:
-        perm = order.permutation
-        return all(type(i) is int for i in perm) and sorted(perm) == list(range(n))
-
-    alignment = None
-    time_spans = None
-    if episode.captions is not None:
-        alignment = _stage(
-            out / "alignment.json", "align", _ALIGNMENT, compute_alignment, episode
-        )
-        time_spans = _stage(
-            out / "spans.json", "align", _SPANS,
-            scene_time_spans, partition, alignment, episode.captions, fits=per_scene,
-        )
-
-    scene_captions: list[SceneCaption] = []
-    if not config.skip_vision:
-        scene_captions = _stage(
-            out / "captions.json", "caption", _CAPTIONS,
-            compute_captions, episode, partition, config, fits=per_scene,
-        )
-
-    scene_summaries: list[str] = []
-    if not config.skip_transcript:
-        scene_summaries = _stage(
-            out / "summaries.json", "summarize", _SUMMARIES,
-            compute_summaries, episode, partition, config, fits=per_scene,
-        )
-
-    rosters = [scene.roster for scene in partition.scenes]
-    order = _stage(
-        out / "order.json", "reorder",
-        Codec(partial(order_to_dict, rosters), SceneOrder.from_dict),
-        compute_order, partition, config, fits=permutes_scenes,
-    )
-
-    fusion_input = _stage(
-        out / "fusion_input.txt", "fuse-input", _TEXT, assemble_fusion_input,
-        scene_summaries, [c.sentences for c in scene_captions], order,
-        config.context_budget,
-    )
-
-    final_summary = _stage(
-        out / "summary.txt", "fuse", _TEXT, compute_final_summary, fusion_input, config
-    )
-
+    run = Run(episode, config, out)
     return EpisodeArtifacts(
-        partition=partition,
-        alignment=alignment,
-        time_spans=time_spans,
-        scene_captions=scene_captions,
-        scene_summaries=scene_summaries,
-        order=order,
-        fusion_input=fusion_input,
-        final_summary=final_summary,
+        partition=run["segment"],
+        alignment=run.get("align"),
+        time_spans=run.get("spans"),
+        scene_captions=run.get("caption", []),
+        scene_summaries=run.get("summarize", []),
+        order=run["reorder"],
+        fusion_input=run["fuse-input"],
+        final_summary=run["fuse"],
         out_dir=out,
     )
 

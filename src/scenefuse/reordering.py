@@ -107,14 +107,6 @@ class SceneOrder:
     permutation: tuple[int, ...]
     cost: float
 
-    def to_dict(self) -> dict:
-        return {"permutation": list(self.permutation), "reordered_cost": self.cost}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneOrder":
-        """Inverse of to_dict; an "original_cost" beside the fields is ignored."""
-        return cls(tuple(data["permutation"]), data["reordered_cost"])
-
 
 def _masks(rosters: Sequence[Iterable[str]]) -> list[int]:
     """One int per roster, with one bit per distinct name."""
@@ -252,7 +244,3 @@ def brute_force_reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
             best_perm = perm
             best_cost = cost
     return SceneOrder(best_perm, best_cost)
-
-
-def order_to_dict(rosters: Sequence[Iterable[str]], order: SceneOrder) -> dict:
-    return {**order.to_dict(), "original_cost": order_cost(rosters)}

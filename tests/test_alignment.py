@@ -12,10 +12,10 @@ from scenefuse.alignment import (
     line_similarity,
     normalize_text,
     scene_time_spans,
-    spans_to_dicts,
 )
 from scenefuse.errors import EmptySequence, UncoveredScene
 from scenefuse.model import CaptionCue, CaptionTrack, parse_transcript
+from scenefuse.pipeline import STAGES
 from scenefuse.segmentation import partition_from_breaks
 
 STEPS = ((1, 0), (0, 1), (1, 1))
@@ -151,7 +151,9 @@ def test_dtw_matches_exhaustive_path_enumeration():
 
 def test_alignment_to_dict():
     alignment = Alignment(((0, 0), (1, 1)), 0.25)
-    assert alignment.to_dict() == {"path": [[0, 0], [1, 1]], "total_cost": 0.25}
+    assert STAGES["align"].dump(None, alignment) == {
+        "path": [[0, 0], [1, 1]], "total_cost": 0.25
+    }
 
 
 def test_scene_time_spans_from_matched_cues():
@@ -195,7 +197,7 @@ def test_scene_without_any_matched_cue_is_an_error():
 
 
 def test_spans_to_dicts():
-    assert spans_to_dicts([TimeSpan(0, 10), TimeSpan(10, 30)]) == [
+    assert STAGES["spans"].dump(None, [TimeSpan(0, 10), TimeSpan(10, 30)]) == [
         {"scene": 0, "start_ms": 0, "end_ms": 10},
         {"scene": 1, "start_ms": 10, "end_ms": 30},
     ]

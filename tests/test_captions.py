@@ -14,6 +14,7 @@ from scenefuse.captions import (
     postprocess_captions,
 )
 from scenefuse.errors import DataError
+from scenefuse.pipeline import STAGES
 
 LEXICON = load_lexicon()
 
@@ -136,4 +137,6 @@ def test_lexicon_is_shared_frozen_data():
 
 def test_scene_caption_to_dict():
     cap = SceneCaption(2, ("Brody waves",))
-    assert cap.to_dict() == {"scene_index": 2, "sentences": ["Brody waves"]}
+    assert STAGES["caption"].dump(None, [cap]) == [
+        {"scene_index": 2, "sentences": ["Brody waves"]}
+    ]

@@ -1,4 +1,4 @@
-"""Artifact codecs: each stored domain type reads back exactly what it wrote."""
+"""Stage file formats: each stage's load reads back exactly what its dump wrote."""
 
 import json
 import random
@@ -6,18 +6,29 @@ import random
 import pytest
 
 from conftest import make_transcript
-from scenefuse.alignment import Alignment, TimeSpan, dtw_align, spans_to_dicts
+from scenefuse.alignment import Alignment, TimeSpan, dtw_align
 from scenefuse.captions import SceneCaption
-from scenefuse.model import Partition
-from scenefuse.reordering import SceneOrder, order_to_dict, reorder
+from scenefuse.model import Partition, Scene
+from scenefuse.pipeline import STAGES
+from scenefuse.reordering import reorder
 from scenefuse.segmentation import optimal_partition, partition_from_breaks
 
 NAMES = ["Brody", "Jessica", "Zoë", "Łukasz", "Ana María", "李雷"]
 WORDS = ["the", "dock", "garden", "naïve", "café", "🙂", "is", "seen", ""]
 
 
-def round_trip(value):
-    return type(value).from_dict(json.loads(json.dumps(value.to_dict())))
+def scenes_of(rosters) -> Partition:
+    """A partition with one one-line scene per roster."""
+    return Partition(
+        tuple(Scene(i, i + 1, frozenset(r), 0.0) for i, r in enumerate(rosters)), 0.0
+    )
+
+
+def round_trip(key, value, partition=None):
+    # a stage format reads only the run's partition, so a dict stands in for the run
+    run = {"segment": partition}
+    stage = STAGES[key]
+    return stage.load(run, json.loads(json.dumps(stage.dump(run, value))))
 
 
 def random_text(rng: random.Random) -> str:
@@ -32,7 +43,7 @@ def test_partition_round_trip(seed):
         transcript = make_transcript([rng.choice(NAMES) for _ in range(m)])
         breaks = rng.sample(range(1, m), rng.randint(0, min(m - 1, 6)))
         for partition in (partition_from_breaks(transcript, breaks), optimal_partition(transcript)):
-            back = round_trip(partition)
+            back = round_trip("segment", partition)
             assert isinstance(back, Partition)
             assert back == partition
             assert repr(back.total_cost) == repr(partition.total_cost)
@@ -48,7 +59,7 @@ def test_alignment_round_trip(seed):
         lines = [random_text(rng) for _ in range(rng.randint(1, 12))]
         cues = [random_text(rng) for _ in range(rng.randint(1, 12))]
         alignment = dtw_align(lines, cues)
-        back = round_trip(alignment)
+        back = round_trip("align", alignment)
         assert isinstance(back, Alignment)
         assert back == alignment
         assert repr(back.total_cost) == repr(alignment.total_cost)
@@ -62,34 +73,38 @@ def test_scene_order_round_trip(seed):
             set(rng.sample(NAMES, rng.randint(0, 3))) for _ in range(rng.randint(0, 12))
         ]
         order = reorder(rosters)
-        back = round_trip(order)
+        run = {"segment": scenes_of(rosters)}
+        back = round_trip("reorder", order, run["segment"])
         assert back == order
         assert repr(back.cost) == repr(order.cost)
-        # order.json also carries the original order's cost; readers skip it
-        assert SceneOrder.from_dict(order_to_dict(rosters, order)) == order
+        # order.json also carries the original order's cost; the loader skips it
+        data = STAGES["reorder"].dump(run, order)
+        assert "original_cost" in data
+        assert STAGES["reorder"].load(run, data) == order
 
 
 def test_scene_caption_and_time_span_round_trip():
     rng = random.Random(7)
+    one_scene = scenes_of([()])
     for i in range(50):
         caption = SceneCaption(i, tuple(random_text(rng) for _ in range(rng.randint(0, 4))))
-        assert round_trip(caption) == caption
+        assert round_trip("caption", [caption], one_scene) == [caption]
         span = TimeSpan(rng.randint(0, 10**9), rng.randint(0, 10**9))
-        assert round_trip(span) == span
+        assert round_trip("spans", [span], one_scene) == [span]
 
 
 def test_spans_file_format_labels_each_scene():
     spans = [TimeSpan(0, 12000), TimeSpan(12000, 24000)]
-    data = spans_to_dicts(spans)
+    data = STAGES["spans"].dump(None, spans)
     assert [d["scene"] for d in data] == [0, 1]
-    # spans.json also carries each scene's index; readers skip it
-    assert [TimeSpan.from_dict(d) for d in data] == spans
+    # spans.json also carries each scene's index; the loader skips it
+    assert STAGES["spans"].load({"segment": scenes_of([(), ()])}, data) == spans
 
 
 def test_partition_reader_ignores_the_derived_breaks():
     transcript = make_transcript(["A", "B", "A", "C", "C", "D"])
     partition = partition_from_breaks(transcript, [3])
-    data = partition.to_dict()
+    data = STAGES["segment"].dump(None, partition)
     assert data["breaks"] == [3]
     del data["breaks"]
-    assert Partition.from_dict(data) == partition
+    assert STAGES["segment"].load(None, data) == partition

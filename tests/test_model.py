@@ -80,20 +80,6 @@ def test_parse_transcript_empty_inputs_raise():
         parse_transcript("(Only stage directions here.)\n\n[SCENE_BREAK]\n")
 
 
-def test_transcript_to_text_round_trip():
-    text = (
-        "Alice: hi\n"
-        "(She waves.)\n"
-        "[SCENE_BREAK]\n"
-        "Bob: hello there\n"
-        "Alice: bye\n"
-    )
-    first = parse_transcript(text)
-    second = parse_transcript(first.to_text())
-    assert second == first
-    assert second.to_text() == first.to_text()
-
-
 def test_parse_captions_srt():
     track = parse_captions(
         "1\n00:00:01,000 --> 00:00:02,500\nHello\n"

@@ -15,6 +15,7 @@ from conftest import (
     make_transcript,
     write_episode,
 )
+from scenefuse import pipeline
 from scenefuse.alignment import TimeSpan
 from scenefuse.backends import (
     ROLES,
@@ -324,7 +325,8 @@ def test_pipeline_recomputes_a_corrupt_artifact(tmp_path, name, damage):
     assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES)
 
 
-# valid JSON that decodes but does not fit the partition's 3 scenes
+# valid JSON that does not fit the partition's 3 scenes, or holds a value
+# of the wrong JSON type
 MISFITS = [
     pytest.param("spans.json", lambda data: data[:-1], id="short-spans"),
     pytest.param("captions.json", lambda data: data + data[-1:], id="long-captions"),
@@ -337,6 +339,15 @@ MISFITS = [
     ),
     pytest.param(
         "order.json", lambda data: {**data, "permutation": [0.0, 1, 2]}, id="float-order"
+    ),
+    pytest.param("summaries.json", lambda data: [7, *data[1:]], id="int-summary"),
+    pytest.param(
+        "captions.json",
+        lambda data: [{**data[0], "sentences": [7]}, *data[1:]],
+        id="int-caption-sentence",
+    ),
+    pytest.param(
+        "order.json", lambda data: {**data, "reordered_cost": "x"}, id="string-order-cost"
     ),
 ]
 
@@ -388,6 +399,34 @@ def test_pipeline_recomputes_stages_written_for_another_partition(tmp_path):
     artifacts = run_pipeline(episode, config)
     assert artifacts.order.permutation == (0,)
     assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
+
+
+@pytest.mark.parametrize("name", ["order.json", "summary.txt"])
+def test_pipeline_with_nowhere_to_write_sends_no_request(tmp_path, name):
+    episode = standard_episode(tmp_path)
+    backends = build_uncached_backends()
+    config = PipelineConfig(backends=backends, out_dir=tmp_path / "out")
+    (tmp_path / "out" / "ep1" / name).mkdir(parents=True)
+    with pytest.raises(ConfigError, match=f"^cannot write .*{name}: "):
+        run_pipeline(episode, config)
+    assert backends.upstream_calls == 0
+    # it failed before the first stage, so it wrote nothing, temp files included
+    assert [p.name for p in (tmp_path / "out" / "ep1").iterdir()] == [name]
+
+
+def test_pipeline_that_computes_nothing_checks_nothing(tmp_path, monkeypatch):
+    episode = standard_episode(tmp_path)
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    cold = run_pipeline(episode, config)
+    checked = []
+    monkeypatch.setattr(pipeline, "check_writable", lambda *paths: checked.extend(paths))
+    assert run_pipeline(episode, config) == cold
+    assert checked == []
+    (tmp_path / "out" / "ep1" / "summary.txt").unlink()
+    assert run_pipeline(episode, config) == cold
+    assert tuple(p.name for p in checked) == STAGE_FILES
 
 
 def test_pipeline_stage_errors_name_the_stage(tmp_path):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from conftest import make_transcript
 from scenefuse import reordering
 from scenefuse.errors import TooLarge
+from scenefuse.pipeline import STAGES
 from scenefuse.reordering import (
     SceneOrder,
     _distance,
@@ -14,9 +16,9 @@ from scenefuse.reordering import (
     causality,
     iou,
     order_cost,
-    order_to_dict,
     reorder,
 )
+from scenefuse.segmentation import partition_from_breaks
 
 NAMES = ["Alice", "Bob", "Charlie", "Dana", "Ed"]
 
@@ -172,9 +174,13 @@ def test_brute_force_size_guard():
 
 
 def test_order_to_dict_reports_both_costs():
-    rosters = [{"Alice", "Bob"}, {"Charlie", "Dana"}, {"Alice", "Bob"}]
+    partition = partition_from_breaks(
+        make_transcript(["Alice", "Bob", "Charlie", "Dana", "Alice", "Bob"]), [2, 4]
+    )
+    rosters = [scene.roster for scene in partition.scenes]
+    assert rosters == [{"Alice", "Bob"}, {"Charlie", "Dana"}, {"Alice", "Bob"}]
     order = reorder(rosters)
-    data = order_to_dict(rosters, order)
+    data = STAGES["reorder"].dump({"segment": partition}, order)
     assert data == {
         "permutation": [1, 0, 2],
         "original_cost": 2.0,

@@ -10,6 +10,7 @@ import pytest
 from conftest import make_transcript
 from scenefuse.errors import EmptyTranscript, InvalidCount, TooLarge
 from scenefuse.model import Transcript, scene_roster
+from scenefuse.pipeline import STAGES
 from scenefuse.segmentation import (
     _span_columns,
     _tables,
@@ -283,7 +284,7 @@ def test_empty_transcript_rejected_everywhere():
 def test_to_dict_round_trips_the_interesting_fields():
     t = make_transcript(["Alice", "Bob", "Alice", "Charlie"])
     part = optimal_partition(t)
-    data = part.to_dict()
+    data = STAGES["segment"].dump(None, part)
     assert data["breaks"] == list(part.breaks)
     assert data["total_cost_bits"] == part.total_cost
     assert [s["start"] for s in data["scenes"]] == [s.start for s in part.scenes]

@@ -13,14 +13,15 @@ codes: 0 success, 2 config error, 3 backend error, 4 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import BackendError, ConfigError, DataError, read_json, read_text
 from .model import Episode, load_episode
-from .pipeline import PipelineConfig, Run, config_from_dict, read_summary, run_eval, run_pipeline
+from .pipeline import (
+    PipelineConfig, Run, config_from_dict, dumps, read_summary, run_eval, run_pipeline
+)
 from .segmentation import optimal_partition
 from .stats import (
     SampleStats,
@@ -37,7 +38,7 @@ DEFAULT_OUT = "scenefuse-out"
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1))
+    sys.stdout.write(dumps(obj))
 
 
 def _pipeline_config(args) -> PipelineConfig:

@@ -131,23 +131,6 @@ def uniform_chunk_breaks(transcript: Transcript, window: int = UNIFORM_CHUNK_TOK
     return breaks
 
 
-class _Block:
-    """One reordered scene's fusion content: captions then summary."""
-
-    def __init__(self, captions: list[str], summary_sentences: list[str]):
-        self.captions = captions
-        self.summary = summary_sentences
-
-    def render(self) -> str:
-        parts = list(self.captions)
-        if self.summary:
-            parts.append(" ".join(self.summary))
-        return "\n".join(parts)
-
-    def empty(self) -> bool:
-        return not self.captions and not self.summary
-
-
 def assemble_fusion_input(
     scene_summaries: Sequence[str | None],
     scene_captions: Sequence[Sequence[str]],
@@ -162,51 +145,48 @@ def assemble_fusion_input(
     scene first), then trailing sentences are cut from the end, never
     touching the first block's own content. If that first block alone
     exceeds the budget the call fails rather than truncate it.
+
+    Every separator is whitespace, so no token spans two parts and the
+    text's token count is the sum of its parts' counts: each part is
+    counted once, a cut subtracts its count, and the text is rendered
+    once.
     """
     if budget <= 0:
         raise ConfigError(f"budget must be > 0, got {budget}")
-    blocks: list[_Block] = []
+    blocks = []  # (captions, summary sentences) of each non-empty scene, as (tokens, text)
     for idx in order.permutation:
-        captions = list(scene_captions[idx]) if idx < len(scene_captions) else []
+        captions = scene_captions[idx] if idx < len(scene_captions) else []
         summary = scene_summaries[idx] if idx < len(scene_summaries) else None
-        block = _Block(captions, split_sentences(summary) if summary else [])
-        if not block.empty():
-            blocks.append(block)
-    if not blocks:
-        return ""
-
-    def render() -> str:
-        return "\n\n".join(b.render() for b in blocks if not b.empty())
-
-    def fits() -> bool:
-        return _tokens(render()) <= budget
-
-    if fits():
-        return render()
+        sentences = split_sentences(summary) if summary else []
+        if captions or sentences:
+            blocks.append(
+                ([(_tokens(c), c) for c in captions], [(_tokens(s), s) for s in sentences])
+            )
+    total = sum(n for captions, sentences in blocks for n, _ in captions + sentences)
 
     # captions go first, last reordered scene first, while any summary
     # text exists to carry the episode
-    if any(b.summary for b in blocks):
-        for block in reversed(blocks):
-            if block.captions:
-                block.captions = []
-                if fits():
-                    return render()
+    if any(sentences for _, sentences in blocks):
+        for captions, _ in reversed(blocks):
+            if total <= budget:
+                break
+            total -= sum(n for n, _ in captions)
+            captions.clear()
 
     # then trailing sentences, never the first block's
-    while not fits():
-        for block in reversed(blocks[1:]):
-            if block.summary:
-                block.summary.pop()
-                break
-            if block.captions:
-                block.captions.pop()
-                break
-        else:
-            raise BudgetTooSmall(
-                f"first scene block needs {_tokens(render())} tokens, budget {budget}"
-            )
-    return render()
+    for captions, sentences in reversed(blocks[1:]):
+        for parts in (sentences, captions):
+            while parts and total > budget:
+                total -= parts.pop()[0]
+    if total > budget:
+        raise BudgetTooSmall(f"first scene block needs {total} tokens, budget {budget}")
+
+    rendered = (
+        [c for _, c in captions] + ([" ".join([s for _, s in sentences])] if sentences else [])
+        for captions, sentences in blocks
+        if captions or sentences
+    )
+    return "\n\n".join(["\n".join(parts) for parts in rendered])
 
 
 def _segment(run: Run) -> Partition:
@@ -312,9 +292,14 @@ def _dump_alignment(run: Run, alignment: Alignment) -> dict:
 
 
 def _load_alignment(run: Run, tree) -> Alignment:
-    alignment = Alignment(tuple((line, cue) for line, cue in tree["path"]), tree["total_cost"])
-    _typed(_INDEX, [i for pair in alignment.pairs for i in pair])
+    pairs = tuple((line, cue) for line, cue in tree["path"])
+    alignment = Alignment(pairs, tree["total_cost"])
+    _typed(_INDEX, [i for pair in pairs for i in pair])
     _typed(_COST, [alignment.total_cost])
+    end = (len(run.episode.transcript.lines) - 1, len(run.episode.captions.cues) - 1)
+    steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(pairs, pairs[1:])}
+    if pairs[:1] != ((0, 0),) or pairs[-1:] != (end,) or not steps <= {(1, 0), (0, 1), (1, 1)}:
+        raise ValueError("not a warping path from the first line and cue to the last")
     return alignment
 
 
@@ -365,7 +350,8 @@ def _load_order(run: Run, tree) -> SceneOrder:
     return order
 
 
-def _dumps(obj) -> str:
+def dumps(obj) -> str:
+    """The one JSON layout: of every stage file, of prefs.json and of CLI stdout."""
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 
@@ -386,7 +372,7 @@ class Stage(NamedTuple):
     load: Callable[[Run, Any], Any] | None = None
 
     def encode(self, run: Run, value) -> str:
-        return value + "\n" if self.dump is None else _dumps(self.dump(run, value))
+        return value + "\n" if self.dump is None else dumps(self.dump(run, value))
 
     def decode(self, run: Run | None, text: str):
         if self.load is not None:
@@ -551,5 +537,5 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )
-    write_atomic(out / "prefs.json", _dumps(report.to_dict()))
+    write_atomic(out / "prefs.json", dumps(report.to_dict()))
     return report

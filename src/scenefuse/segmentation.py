@@ -10,14 +10,15 @@ needed to name the scene's speaker subset. The optimal partition over
 all 2^(m-1) contiguous tilings is found by a prefix DP; the number of
 scenes is emergent, never supplied.
 
-Exactness contract: every span cost, wherever it is needed, is the same
-float64 expression cb[n] + l * lg[n] on the same lookup tables. The DP
-evaluates it one column [0..j) x j at a time, span_costs stacks those
-very columns into the matrix the exhaustive search reads, and scenes
-are costed with it one at a time. Partition costs accumulate as the
-same left-to-right fold everywhere, so DP and exhaustive totals are
-bit-identical, never merely close. Ties break toward fewer scenes, then
-the lexicographically smallest break tuple.
+Exactness contract: a scene costs log2(C(N, n) * n^l), so partitions
+are ranked by the exact integer product of their scenes' C(N, n) * n^l:
+exact description length, then fewer scenes, then the smallest break
+tuple. The DP screens each column with the float64 span costs
+cb[n] + l * lg[n] and ranks by that key only the candidates within a
+relative 2^-40 (about 8000 unit roundoffs) of the column minimum, more
+than the rounding error of a fold of up to about a thousand scenes. A
+reported cost is the left-to-right float fold of the scene costs, so DP
+and exhaustive totals are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .errors import EmptyTranscript, InvalidCount, TooLarge
 from .model import Partition, Scene, Transcript, scene_roster
 
 BRUTE_FORCE_MAX_LINES = 18
+
+_SCREEN = 2.0 ** -40  # the DP's near-minimum margin (see the exactness contract)
 
 
 def codebook_cost(n_total: int, n_scene: int) -> float:
@@ -126,11 +129,9 @@ def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCos
     return SpanCosts(tables.n_total, counts, costs)
 
 
-def _fold_cost(costs: np.ndarray, boundaries: list[int]) -> float:
-    total = 0.0
-    for a, b in zip(boundaries, boundaries[1:]):
-        total += costs[a, b]
-    return total
+def _exact(tables: _Tables, n: int, length: int) -> int:
+    """2 ** (cost of one scene): C(N, n) * n^l, an exact integer."""
+    return math.comb(tables.n_total, n) * n ** length
 
 
 def _scenes(
@@ -161,10 +162,10 @@ def optimal_partition(
 ) -> Partition:
     """Globally cheapest partition of the transcript into scenes.
 
-    best[j] holds the cheapest encoding of lines [0, j); each candidate
-    extends best[i] with one scene [i, j), all i at once. The minimum is
-    exact, and only exact ties rebuild break tuples from the
-    backpointers to apply the scene-count-then-break-tuple rule, so the
+    best[j] holds the float cost of the chosen encoding of lines [0, j);
+    each candidate extends best[i] with one scene [i, j), all i at once.
+    The candidates near the column minimum are ranked by the exact key
+    (description length as an integer, scene count, break tuple), so the
     result is deterministic and matches brute_force_partition. Memory is
     O(m): one cost column at a time, never the (m+1)^2 span table.
     """
@@ -174,22 +175,33 @@ def optimal_partition(
     m = len(transcript.lines)
 
     best = np.zeros(m + 1, np.float64)
-    nscenes = np.zeros(m + 1, np.int64)
+    nscenes = [0] * (m + 1)
     back = [0] * (m + 1)
-    for j, _, col in _span_columns(transcript, tables):
+    exact = {0: 1}  # the chosen path's 2 ** cost, made on first use
+
+    def path_exact(i: int) -> int:
+        chain = [i]
+        while chain[-1] not in exact:
+            chain.append(back[chain[-1]])
+        for k in reversed(chain[:-1]):
+            n = len(scene_roster(transcript, back[k], k))
+            exact[k] = exact[back[k]] * _exact(tables, n, k - back[k])
+        return exact[i]
+
+    for j, counts, col in _span_columns(transcript, tables):
         cand = best[:j] + col
         lo = cand.min()
-        ties = np.flatnonzero(cand == lo)
-        if len(ties) > 1:
-            ties = ties[nscenes[ties] == nscenes[ties].min()]
-        if len(ties) > 1:
-            i = min(
-                ties.tolist(),
-                key=lambda i: _breaks_ending_at(back, i) + (i,) if i else (),
-            )
-        else:
-            i = int(ties[0])
-        best[j] = lo
+        near = np.flatnonzero(cand <= lo + lo * _SCREEN).tolist()
+        i = near[0]
+        if len(near) > 1:  # break tuples are built only where the rest of the key ties
+            key = {
+                k: (path_exact(k) * _exact(tables, int(counts[k]), j - k), nscenes[k])
+                for k in near
+            }
+            low = min(key.values())
+            ties = [k for k in near if key[k] == low]
+            i = min(ties, key=lambda k: _breaks_ending_at(back, k) + (k,))
+        best[j] = cand[i]
         nscenes[j] = nscenes[i] + 1
         back[j] = i
 
@@ -202,26 +214,26 @@ def brute_force_partition(
 ) -> Partition:
     """Exhaustive minimum over all contiguous partitions (oracle).
 
-    Reads the stacked span_costs columns and folds them in the same
-    order as optimal_partition, so the two agree exactly, tie-breaking
-    included.
+    Ranks every partition by the same exact key as optimal_partition and
+    costs the winner as partition_from_breaks does, with the left fold of
+    the span costs, so the two agree exactly, tie-breaking included.
     """
     m = len(transcript.lines)
     if m == 0:
         raise EmptyTranscript("cannot partition an empty transcript")
     if m > BRUTE_FORCE_MAX_LINES:
         raise TooLarge(f"m={m} exceeds brute-force limit {BRUTE_FORCE_MAX_LINES}")
-    costs = span_costs(transcript, n_speakers).costs
+    counts = span_costs(transcript, n_speakers).counts
+    tables = _tables(transcript, n_speakers)
 
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    for mask in range(1 << (m - 1)):
+    def key(mask: int) -> tuple[int, int, tuple[int, ...]]:
         breaks = tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
-        total = _fold_cost(costs, [0, *breaks, m])
-        key = (total, len(breaks) + 1, breaks)
-        if best_key is None or key < best_key:
-            best_key = key
-    scenes = _scenes(transcript, _tables(transcript, n_speakers), best_key[2])
-    return Partition(scenes, float(best_key[0]))
+        bounds = [0, *breaks, m]
+        scenes = zip(bounds, bounds[1:])
+        exact = math.prod(_exact(tables, int(counts[a, b]), b - a) for a, b in scenes)
+        return exact, len(bounds) - 1, breaks
+
+    return partition_from_breaks(transcript, min(map(key, range(1 << (m - 1))))[2], n_speakers)
 
 
 def partition_from_breaks(

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,9 +25,13 @@ def scenes_of(rosters) -> Partition:
     )
 
 
-def round_trip(key, value, partition=None):
-    # a stage format reads only the run's partition, so a dict stands in for the run
-    run = {"segment": partition}
+class RunStandIn(dict):
+    """A run holding only what stage formats read: the partition and the episode."""
+
+
+def round_trip(key, value, partition=None, episode=None):
+    run = RunStandIn(segment=partition)
+    run.episode = episode
     stage = STAGES[key]
     return stage.load(run, json.loads(json.dumps(stage.dump(run, value))))
 
@@ -59,7 +64,11 @@ def test_alignment_round_trip(seed):
         lines = [random_text(rng) for _ in range(rng.randint(1, 12))]
         cues = [random_text(rng) for _ in range(rng.randint(1, 12))]
         alignment = dtw_align(lines, cues)
-        back = round_trip("align", alignment)
+        # the alignment format checks its path against the line and cue counts
+        episode = SimpleNamespace(
+            transcript=SimpleNamespace(lines=lines), captions=SimpleNamespace(cues=cues)
+        )
+        back = round_trip("align", alignment, episode=episode)
         assert isinstance(back, Alignment)
         assert back == alignment
         assert repr(back.total_cost) == repr(alignment.total_cost)

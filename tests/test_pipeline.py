@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -41,6 +43,7 @@ from scenefuse.pipeline import (
     run_pipeline,
     uniform_chunk_breaks,
 )
+from scenefuse.prefs import split_sentences
 from scenefuse.reordering import SceneOrder
 
 
@@ -152,6 +155,129 @@ def test_fusion_caption_only_blocks_can_be_trimmed():
 def test_fusion_input_budget_validation():
     with pytest.raises(ConfigError):
         assemble(0)
+
+
+# The trimming loop as it was before it counted each part once: after
+# every dropped caption block and every popped sentence it renders all
+# blocks and splits the whole text again. Kept as the oracle.
+
+def _tokens(text: str) -> int:
+    return len(text.split())
+
+
+class _Block:
+    """One reordered scene's fusion content: captions then summary."""
+
+    def __init__(self, captions: list[str], summary_sentences: list[str]):
+        self.captions = captions
+        self.summary = summary_sentences
+
+    def render(self) -> str:
+        parts = list(self.captions)
+        if self.summary:
+            parts.append(" ".join(self.summary))
+        return "\n".join(parts)
+
+    def empty(self) -> bool:
+        return not self.captions and not self.summary
+
+
+def reference_fusion_input(
+    scene_summaries: Sequence[str | None],
+    scene_captions: Sequence[Sequence[str]],
+    order: SceneOrder,
+    budget: int,
+) -> str:
+    """Concatenate per-scene blocks in reordered sequence, within budget.
+
+    Block format: the scene's caption sentences, one per line, then its
+    dialogue summary on one line; blocks joined by blank lines. On
+    overflow, captions are dropped first (whole scenes, last reordered
+    scene first), then trailing sentences are cut from the end, never
+    touching the first block's own content. If that first block alone
+    exceeds the budget the call fails rather than truncate it.
+    """
+    if budget <= 0:
+        raise ConfigError(f"budget must be > 0, got {budget}")
+    blocks: list[_Block] = []
+    for idx in order.permutation:
+        captions = list(scene_captions[idx]) if idx < len(scene_captions) else []
+        summary = scene_summaries[idx] if idx < len(scene_summaries) else None
+        block = _Block(captions, split_sentences(summary) if summary else [])
+        if not block.empty():
+            blocks.append(block)
+    if not blocks:
+        return ""
+
+    def render() -> str:
+        return "\n\n".join(b.render() for b in blocks if not b.empty())
+
+    def fits() -> bool:
+        return _tokens(render()) <= budget
+
+    if fits():
+        return render()
+
+    # captions go first, last reordered scene first, while any summary
+    # text exists to carry the episode
+    if any(b.summary for b in blocks):
+        for block in reversed(blocks):
+            if block.captions:
+                block.captions = []
+                if fits():
+                    return render()
+
+    # then trailing sentences, never the first block's
+    while not fits():
+        for block in reversed(blocks[1:]):
+            if block.summary:
+                block.summary.pop()
+                break
+            if block.captions:
+                block.captions.pop()
+                break
+        else:
+            raise BudgetTooSmall(
+                f"first scene block needs {_tokens(render())} tokens, budget {budget}"
+            )
+    return render()
+
+
+PARTS = ["", " ", "\t\n", "\xa0", "word", "two words", "a\u2003b c", "Hi there.", "Go! Now?"]
+
+
+def random_fusion_case(rng: random.Random):
+    n = rng.randint(0, 6)
+    permutation = list(range(n))
+    rng.shuffle(permutation)
+    summaries = [
+        rng.choice([None, "", "  ", " ".join(rng.choices(PARTS, k=rng.randint(1, 6)))])
+        for _ in range(rng.randint(0, n))
+    ]
+    captions = [rng.choices(PARTS, k=rng.randint(0, 3)) for _ in range(rng.randint(0, n))]
+    return summaries, captions, SceneOrder(tuple(permutation), 0.0), rng.randint(-1, 16)
+
+
+def fusion_outcome(assemble_fn, summaries, captions, order, budget):
+    try:
+        return assemble_fn(summaries, captions, order, budget)
+    except (BudgetTooSmall, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+def test_fusion_input_equals_the_rerendering_oracle():
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(4000):
+        case = random_fusion_case(rng)
+        expected = fusion_outcome(reference_fusion_input, *case)
+        assert fusion_outcome(assemble_fusion_input, *case) == expected, case
+        if isinstance(expected, tuple):
+            outcomes.add(expected[0])
+        else:  # True where the whole text fit, False where it was trimmed
+            summaries, captions, order, _ = case
+            outcomes.add(expected == reference_fusion_input(summaries, captions, order, 10**6))
+    assert outcomes == {True, False, BudgetTooSmall, ConfigError}
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +474,16 @@ MISFITS = [
     ),
     pytest.param(
         "order.json", lambda data: {**data, "reordered_cost": "x"}, id="string-order-cost"
+    ),
+    pytest.param(
+        "alignment.json",
+        lambda data: {**data, "path": [*data["path"][:-1], [data["path"][-1][0], 99999]]},
+        id="cue-past-the-end",
+    ),
+    pytest.param(
+        "alignment.json",
+        lambda data: {**data, "path": [*data["path"][:-1], [data["path"][-1][0], -1]]},
+        id="negative-cue",
     ),
 ]
 

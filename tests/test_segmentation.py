@@ -61,42 +61,44 @@ def reference_optimum(transcript, n_total: int):
     return best
 
 
+def exact_key(transcript, breaks, n_total: int):
+    """(2 ** bits as an integer, scene count, breaks): the ranking of partitions."""
+    bounds = [0, *breaks, len(transcript.lines)]
+    product = 1
+    for a, b in zip(bounds, bounds[1:]):
+        n = len(scene_roster(transcript, a, b))
+        product *= math.comb(n_total, n) * n ** (b - a)
+    return product, len(bounds) - 1, tuple(breaks)
+
+
 def reference_dp(transcript, n_speakers=None):
-    """The prefix DP as a double loop over the dense span cost matrix."""
+    """The prefix DP as a double loop over the dense span matrices.
+
+    Each prefix keeps the path of least exact key and that path's float
+    fold of the span costs.
+    """
     table = span_costs(transcript, n_speakers)
-    costs = table.costs
+    costs, counts = table.costs, table.counts
     m = len(transcript.lines)
 
+    best_key = [(1, 0, ())] + [None] * m
     best_cost = [0.0] * (m + 1)
-    best_nscenes = [0] * (m + 1)
-    best_breaks = [()] * (m + 1)
     for j in range(1, m + 1):
-        found_cost = math.inf
-        found_nscenes = 0
-        found_breaks = ()
         for i in range(j):
-            cand_cost = best_cost[i] + costs[i, j]
-            if cand_cost > found_cost:
-                continue
-            cand_nscenes = best_nscenes[i] + 1
-            if cand_cost == found_cost:
-                if cand_nscenes > found_nscenes:
-                    continue
-                cand_breaks = best_breaks[i] + (i,) if i else ()
-                if cand_nscenes == found_nscenes and cand_breaks >= found_breaks:
-                    continue
-            else:
-                cand_breaks = best_breaks[i] + (i,) if i else ()
-            found_cost = cand_cost
-            found_nscenes = cand_nscenes
-            found_breaks = cand_breaks
-        best_cost[j] = found_cost
-        best_nscenes[j] = found_nscenes
-        best_breaks[j] = found_breaks
+            n = int(counts[i, j])
+            product, nscenes, breaks = best_key[i]
+            key = (
+                product * math.comb(table.n_total, n) * n ** (j - i),
+                nscenes + 1,
+                breaks + (i,) if i else (),
+            )
+            if best_key[j] is None or key < best_key[j]:
+                best_key[j] = key
+                best_cost[j] = best_cost[i] + costs[i, j]
 
-    bounds = [0, *best_breaks[m], m]
+    bounds = [0, *best_key[m][2], m]
     scene_costs = [float(costs[a, b]) for a, b in zip(bounds, bounds[1:])]
-    return best_breaks[m], scene_costs, float(best_cost[m])
+    return best_key[m][2], scene_costs, float(best_cost[m])
 
 
 def test_codebook_cost_matches_binomials():
@@ -213,6 +215,23 @@ def test_exact_ties_prefer_fewer_scenes():
     assert part.total_cost == 4.0
     assert part.breaks == ()
     assert brute_force_partition(t) == part
+
+
+def test_exact_description_length_decides_ties_among_five_or_more_names():
+    # [0, 6) and [0, 1) + [1, 6) both cost exactly log2(5^6) bits, but
+    # their float folds differ by one ulp: the single scene must win
+    t = make_transcript(list("AECABDEE"))
+    assert optimal_partition(t).breaks == (6,)
+    assert brute_force_partition(t).breaks == (6,)
+    rng = random.Random(37)
+    for _ in range(400):
+        names = [f"S{k}" for k in range(rng.randint(5, 8))]
+        t = make_transcript([rng.choice(names) for _ in range(rng.randint(1, 10))])
+        dp, bf = optimal_partition(t), brute_force_partition(t)
+        assert (dp.breaks, dp.total_cost) == (bf.breaks, bf.total_cost)
+        n_total = len(t.roster)
+        best = min(exact_key(t, breaks, n_total) for breaks in enumerate_breaks(len(t.lines)))
+        assert dp.breaks == best[2]
 
 
 def test_single_speaker_with_injected_roster_stays_whole():

@@ -23,22 +23,6 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def lcs_length(a: str, b: str) -> int:
-    """Character-level longest-common-subsequence length (normalized)."""
-    return kernels.lcs_length_codes(
-        kernels.encode_text(normalize_text(a)),
-        kernels.encode_text(normalize_text(b)),
-    )
-
-
-def line_similarity(line: str, cue: str) -> float:
-    """lcs / min length in [0, 1]; 0 when either side normalizes empty."""
-    a, b = normalize_text(line), normalize_text(cue)
-    if not a or not b:
-        return 0.0
-    return lcs_length(a, b) / min(len(a), len(b))
-
-
 @dataclass(frozen=True)
 class Alignment:
     pairs: tuple[tuple[int, int], ...]

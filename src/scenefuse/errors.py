@@ -38,10 +38,6 @@ class InvalidCount(DataError):
     """Speaker counts outside 1 <= n <= N."""
 
 
-class TooLarge(DataError):
-    """Instance exceeds the brute-force size guard."""
-
-
 class EmptySequence(DataError):
     """Alignment requires at least one element on each side."""
 

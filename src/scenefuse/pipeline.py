@@ -262,8 +262,15 @@ def _typed(kinds: set, values):
     return values
 
 
+def _array(value) -> list:
+    """value, if it is a JSON array; a string or an object iterates as characters or keys."""
+    if type(value) is not list:
+        raise TypeError("not a JSON array")
+    return value
+
+
 def _per_scene(run: Run, tree) -> list:
-    if not isinstance(tree, list) or len(tree) != len(run["segment"].scenes):
+    if len(_array(tree)) != len(run["segment"].scenes):
         raise ValueError("not one entry per scene")
     return tree
 
@@ -278,12 +285,18 @@ def _dump_partition(run: Run, p: Partition) -> dict:
 
 def _load_partition(run: Run, tree) -> Partition:
     scenes = tuple(
-        Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"]) for s in tree["scenes"]
+        Scene(s["start"], s["end"], frozenset(_array(s["roster"])), s["cost_bits"])
+        for s in _array(tree["scenes"])
     )
     partition = Partition(scenes, tree["total_cost_bits"])  # "breaks" follow from the scenes
     _typed(_INDEX, [i for s in scenes for i in (s.start, s.end)])
     _typed(_TEXT, [name for s in scenes for name in s.roster])
     _typed(_COST, [partition.total_cost, *(s.cost_bits for s in scenes)])
+    # each scene starts where the previous one ends; the ends rise strictly to the line count
+    bounds = [0, *(s.end for s in scenes)]
+    rising = bounds == sorted(set(bounds)) and bounds[-1] == len(run.episode.transcript.lines)
+    if not rising or [s.start for s in scenes] != bounds[:-1]:
+        raise ValueError("scenes do not tile the transcript")
     return partition
 
 
@@ -292,7 +305,7 @@ def _dump_alignment(run: Run, alignment: Alignment) -> dict:
 
 
 def _load_alignment(run: Run, tree) -> Alignment:
-    pairs = tuple((line, cue) for line, cue in tree["path"])
+    pairs = tuple((line, cue) for line, cue in _array(tree["path"]))
     alignment = Alignment(pairs, tree["total_cost"])
     _typed(_INDEX, [i for pair in pairs for i in pair])
     _typed(_COST, [alignment.total_cost])
@@ -319,7 +332,7 @@ def _dump_captions(run: Run, captions: list[SceneCaption]) -> list[dict]:
 
 def _load_captions(run: Run, tree) -> list[SceneCaption]:
     rows = _per_scene(run, tree)
-    captions = [SceneCaption(row["scene_index"], tuple(row["sentences"])) for row in rows]
+    captions = [SceneCaption(row["scene_index"], tuple(_array(row["sentences"]))) for row in rows]
     _typed(_INDEX, [c.scene_index for c in captions])
     _typed(_TEXT, [s for c in captions for s in c.sentences])
     return captions
@@ -343,7 +356,7 @@ def _dump_order(run: Run, order: SceneOrder) -> dict:
 
 
 def _load_order(run: Run, tree) -> SceneOrder:
-    order = SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"])
+    order = SceneOrder(tuple(_array(tree["permutation"])), tree["reordered_cost"])
     _typed(_COST, [order.cost])
     if sorted(_typed(_INDEX, order.permutation)) != list(range(len(run["segment"].scenes))):
         raise ValueError("not a permutation of the scenes")

@@ -16,7 +16,6 @@ import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import backends as be
@@ -133,13 +132,6 @@ def _read_facts(
     return facts
 
 
-def extract_facts(summary: str, backends: be.Backends, origin: str = GENERATED) -> list[Fact]:
-    """Per-sentence extraction, one request after another."""
-    sentences = split_sentences(summary)
-    replies = (partial(backends.complete, be.FACT_EXTRACTOR, sentence=s) for s in sentences)
-    return _read_facts(sentences, replies, origin)
-
-
 def _word_count(text: str) -> int:
     tokens = text.split()
     if tokens:
@@ -155,11 +147,6 @@ def _passes_filter(fact: Fact) -> bool:
     if _BLACKLIST_RE.search(collapsed):
         return False
     return _word_count(collapsed) != 2
-
-
-def filter_facts(facts: Sequence[Fact]) -> list[Fact]:
-    """Drop blacklisted and two-word facts; malformed ones always stay."""
-    return [f for f in facts if _passes_filter(f)]
 
 
 def mark_duplicates(facts: Sequence[Fact]) -> list[FactVerdict | None]:

@@ -4,13 +4,13 @@ The cost of a scene order is the sum over adjacent pairs of
 1 - IOU(rosters); scenes sharing a character must keep their original
 relative order. A greedy pass moves each scene as far forward as the
 constraint allows, keeping the move only on a strict cost improvement,
-and repeats until a full pass changes nothing. An exhaustive oracle
-covers small instances.
+and repeats until a full pass changes nothing.
 
 Each roster is one int with a bit per name. Two scenes share a
 character when their masks intersect, and 1 - IOU is
 1.0 - inter / union from int.bit_count(). Dividing two small ints is
-correctly rounded, so every distance equals 1.0 - iou() bit for bit.
+correctly rounded, so every distance equals 1 - IOU of the two name
+sets bit for bit.
 
 The greedy pass returns the order and the cost bits that folding every
 candidate order in full would; it only does less work. It keeps
@@ -47,12 +47,8 @@ never the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, permutations
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
-
-from .errors import TooLarge
-
-BRUTE_FORCE_MAX_SCENES = 8
 
 # Screen margin, in units of 2**-53, times n*n. Every distance lies in
 # [0, 1]. A left fold of n - 1 such terms starting from 0.0 makes n - 2
@@ -71,35 +67,6 @@ BRUTE_FORCE_MAX_SCENES = 8
 # all, and a gap above the margin (itself rounded by at most one part
 # in 2**53) outlasts it.
 _SCREEN_ULPS = 8
-
-
-def iou(a: Iterable[str], b: Iterable[str]) -> float:
-    """Intersection over union of two speaker sets; 0 when both empty."""
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
-
-
-def order_cost(rosters: Sequence[Iterable[str]]) -> float:
-    """Sum of 1 - IOU over adjacent scene pairs."""
-    sets = [set(r) for r in rosters]
-    total = 0.0
-    for a, b in zip(sets, sets[1:]):
-        total += 1.0 - iou(a, b)
-    return total
-
-
-def causality(rosters: Sequence[Iterable[str]]) -> frozenset[tuple[int, int]]:
-    """All ordered index pairs (i, j), i < j, whose scenes share a character."""
-    sets = [set(r) for r in rosters]
-    return frozenset(
-        (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if sets[i] & sets[j]
-    )
 
 
 @dataclass(frozen=True)
@@ -121,9 +88,18 @@ def _masks(rosters: Sequence[Iterable[str]]) -> list[int]:
 
 
 def _distance(a: int, b: int) -> float:
-    """1 - IOU of two roster masks, equal to 1.0 - iou() of their sets."""
+    """1 - IOU of two roster masks; 1.0 when both are empty."""
     union = (a | b).bit_count()
     return 1.0 - (a & b).bit_count() / union if union else 1.0
+
+
+def order_cost(rosters: Sequence[Iterable[str]]) -> float:
+    """Sum of 1 - IOU over adjacent scene pairs, folded left to right."""
+    masks = _masks(rosters)
+    total = 0.0
+    for a, b in zip(masks, masks[1:]):
+        total += _distance(a, b)
+    return total
 
 
 def _fold_move(
@@ -214,33 +190,3 @@ def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
         stale = sorted(q for q, h in far.items() if h >= dest and q < dest - 1)
         far = {q: h for q, h in far.items() if h < dest}
         todo = chain(stale, range(max(dest - 1, 1), n))
-
-
-def brute_force_reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
-    """Exhaustive minimum over causality-respecting permutations (oracle).
-
-    Permutations are scanned in lexicographic order and replaced only on
-    a strictly lower cost, so ties keep the lexicographically first.
-    """
-    n = len(rosters)
-    if n > BRUTE_FORCE_MAX_SCENES:
-        raise TooLarge(f"n={n} exceeds brute-force limit {BRUTE_FORCE_MAX_SCENES}")
-    if n <= 1:
-        return SceneOrder(tuple(range(n)), 0.0)
-    masks = _masks(rosters)
-    dist = [[_distance(a, b) for b in masks] for a in masks]
-    pairs = causality(rosters)
-
-    best_perm: tuple[int, ...] | None = None
-    best_cost = float("inf")
-    for perm in permutations(range(n)):
-        pos = {scene: t for t, scene in enumerate(perm)}
-        if any(pos[i] > pos[j] for i, j in pairs):
-            continue
-        cost = 0.0
-        for a, b in zip(perm, perm[1:]):
-            cost += dist[a][b]
-        if cost < best_cost:
-            best_perm = perm
-            best_cost = cost
-    return SceneOrder(best_perm, best_cost)

@@ -18,7 +18,8 @@ cb[n] + l * lg[n] and ranks by that key only the candidates within a
 relative 2^-40 (about 8000 unit roundoffs) of the column minimum, more
 than the rounding error of a fold of up to about a thousand scenes. A
 reported cost is the left-to-right float fold of the scene costs, so DP
-and exhaustive totals are bit-identical.
+totals are bit-identical to those of the exhaustive oracle in
+tests/test_segmentation.py.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptyTranscript, InvalidCount, TooLarge
+from .errors import EmptyTranscript, InvalidCount
 from .model import Partition, Scene, Transcript, scene_roster
-
-BRUTE_FORCE_MAX_LINES = 18
 
 _SCREEN = 2.0 ** -40  # the DP's near-minimum margin (see the exactness contract)
 
@@ -45,26 +44,6 @@ def codebook_cost(n_total: int, n_scene: int) -> float:
     for k in range(1, n_scene + 1):
         bits += math.log2(n_total - n_scene + k) - math.log2(k)
     return bits
-
-
-def scene_cost(n_total: int, n_scene: int, length: int) -> float:
-    """Bits to encode one scene: codebook plus l * log2(n) line terms."""
-    if length < 1:
-        raise InvalidCount(f"scene length must be >= 1, got {length}")
-    return codebook_cost(n_total, n_scene) + length * math.log2(n_scene)
-
-
-@dataclass(frozen=True)
-class SpanCosts:
-    """Per-span distinct-speaker counts and scene costs for one transcript.
-
-    Both entries are (m+1) x (m+1); cell [i, j] describes line span
-    [i, j) and is meaningful for i < j only.
-    """
-
-    n_total: int
-    counts: np.ndarray
-    costs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,22 +92,6 @@ def _span_columns(
         yield j, counts, tables.cb[counts] + (j - starts[:j]) * tables.lg[counts]
 
 
-def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCosts:
-    """Stack every column of span counts and costs into dense matrices.
-
-    Only the exhaustive oracle and tests need the full table; the DP
-    consumes the same columns one at a time.
-    """
-    tables = _tables(transcript, n_speakers)
-    m = len(transcript.lines)
-    counts = np.zeros((m + 1, m + 1), np.int64)
-    costs = np.zeros((m + 1, m + 1), np.float64)
-    for j, count_col, cost_col in _span_columns(transcript, tables):
-        counts[:j, j] = count_col
-        costs[:j, j] = cost_col
-    return SpanCosts(tables.n_total, counts, costs)
-
-
 def _exact(tables: _Tables, n: int, length: int) -> int:
     """2 ** (cost of one scene): C(N, n) * n^l, an exact integer."""
     return math.comb(tables.n_total, n) * n ** length
@@ -166,8 +129,9 @@ def optimal_partition(
     each candidate extends best[i] with one scene [i, j), all i at once.
     The candidates near the column minimum are ranked by the exact key
     (description length as an integer, scene count, break tuple), so the
-    result is deterministic and matches brute_force_partition. Memory is
-    O(m): one cost column at a time, never the (m+1)^2 span table.
+    result is deterministic and matches the exhaustive oracle in the
+    tests. Memory is O(m): one cost column at a time, never the
+    (m+1)^2 span table.
     """
     if not transcript.lines:
         raise EmptyTranscript("cannot partition an empty transcript")
@@ -207,33 +171,6 @@ def optimal_partition(
 
     breaks = _breaks_ending_at(back, m)
     return Partition(_scenes(transcript, tables, breaks), float(best[m]))
-
-
-def brute_force_partition(
-    transcript: Transcript, n_speakers: int | None = None
-) -> Partition:
-    """Exhaustive minimum over all contiguous partitions (oracle).
-
-    Ranks every partition by the same exact key as optimal_partition and
-    costs the winner as partition_from_breaks does, with the left fold of
-    the span costs, so the two agree exactly, tie-breaking included.
-    """
-    m = len(transcript.lines)
-    if m == 0:
-        raise EmptyTranscript("cannot partition an empty transcript")
-    if m > BRUTE_FORCE_MAX_LINES:
-        raise TooLarge(f"m={m} exceeds brute-force limit {BRUTE_FORCE_MAX_LINES}")
-    counts = span_costs(transcript, n_speakers).counts
-    tables = _tables(transcript, n_speakers)
-
-    def key(mask: int) -> tuple[int, int, tuple[int, ...]]:
-        breaks = tuple(k for k in range(1, m) if mask >> (k - 1) & 1)
-        bounds = [0, *breaks, m]
-        scenes = zip(bounds, bounds[1:])
-        exact = math.prod(_exact(tables, int(counts[a, b]), b - a) for a, b in scenes)
-        return exact, len(bounds) - 1, breaks
-
-    return partition_from_breaks(transcript, min(map(key, range(1 << (m - 1))))[2], n_speakers)
 
 
 def partition_from_breaks(

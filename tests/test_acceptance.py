@@ -24,24 +24,16 @@ from conftest import (
     make_transcript,
     write_episode,
 )
-from test_alignment import enumerate_paths, random_phrase
-from scenefuse.alignment import dtw_align, line_similarity
+from test_alignment import enumerate_paths, line_similarity, random_phrase
+from test_reordering import brute_force_reorder, causality, iou
+from test_segmentation import brute_force_partition
+from scenefuse.alignment import dtw_align
 from scenefuse.captions import load_lexicon, postprocess_captions
 from scenefuse.model import load_episode
 from scenefuse.pipeline import PipelineConfig, run_pipeline
 from scenefuse.prefs import prefs, score_direction
-from scenefuse.reordering import (
-    brute_force_reorder,
-    causality,
-    iou,
-    order_cost,
-    reorder,
-)
-from scenefuse.segmentation import (
-    brute_force_partition,
-    optimal_partition,
-    partition_from_breaks,
-)
+from scenefuse.reordering import order_cost, reorder
+from scenefuse.segmentation import optimal_partition, partition_from_breaks
 from scenefuse.stats import SampleStats, ari, clustering_accuracy, nmi, welch_df, welch_t
 
 LEXICON = load_lexicon()

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
+from scenefuse import kernels
 from scenefuse.alignment import (
     Alignment,
     TimeSpan,
     dtw_align,
-    lcs_length,
-    line_similarity,
     normalize_text,
     scene_time_spans,
 )
@@ -19,6 +18,22 @@ from scenefuse.pipeline import STAGES
 from scenefuse.segmentation import partition_from_breaks
 
 STEPS = ((1, 0), (0, 1), (1, 1))
+
+
+def lcs_length(a: str, b: str) -> int:
+    """Character-level longest-common-subsequence length (normalized)."""
+    return kernels.lcs_length_codes(
+        kernels.encode_text(normalize_text(a)),
+        kernels.encode_text(normalize_text(b)),
+    )
+
+
+def line_similarity(line: str, cue: str) -> float:
+    """lcs / min length in [0, 1]; 0 when either side normalizes empty."""
+    a, b = normalize_text(line), normalize_text(cue)
+    if not a or not b:
+        return 0.0
+    return lcs_length(a, b) / min(len(a), len(b))
 
 
 def lcs_reference(a: str, b: str) -> int:

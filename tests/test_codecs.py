@@ -47,8 +47,10 @@ def test_partition_round_trip(seed):
         m = rng.randint(1, 60)
         transcript = make_transcript([rng.choice(NAMES) for _ in range(m)])
         breaks = rng.sample(range(1, m), rng.randint(0, min(m - 1, 6)))
+        # the partition format checks that the scenes tile the transcript
+        episode = SimpleNamespace(transcript=transcript)
         for partition in (partition_from_breaks(transcript, breaks), optimal_partition(transcript)):
-            back = round_trip("segment", partition)
+            back = round_trip("segment", partition, episode=episode)
             assert isinstance(back, Partition)
             assert back == partition
             assert repr(back.total_cost) == repr(partition.total_cost)
@@ -116,4 +118,5 @@ def test_partition_reader_ignores_the_derived_breaks():
     data = STAGES["segment"].dump(None, partition)
     assert data["breaks"] == [3]
     del data["breaks"]
-    assert STAGES["segment"].load(None, data) == partition
+    run = SimpleNamespace(episode=SimpleNamespace(transcript=transcript))
+    assert STAGES["segment"].load(run, data) == partition

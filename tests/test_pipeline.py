@@ -451,8 +451,13 @@ def test_pipeline_recomputes_a_corrupt_artifact(tmp_path, name, damage):
     assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES)
 
 
-# valid JSON that does not fit the partition's 3 scenes, or holds a value
-# of the wrong JSON type
+def scenes_edited(edit):
+    """A partition.json misfit that maps its scene list through edit."""
+    return lambda data: {**data, "scenes": edit(data["scenes"])}
+
+
+# valid JSON that does not fit the partition's 3 scenes, scenes that do
+# not tile the transcript, or a value of the wrong JSON type
 MISFITS = [
     pytest.param("spans.json", lambda data: data[:-1], id="short-spans"),
     pytest.param("captions.json", lambda data: data + data[-1:], id="long-captions"),
@@ -484,6 +489,31 @@ MISFITS = [
         "alignment.json",
         lambda data: {**data, "path": [*data["path"][:-1], [data["path"][-1][0], -1]]},
         id="negative-cue",
+    ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [*s[:-1], {**s[-1], "end": 99}]),
+        id="scene-past-the-end",
+    ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [s[0], {**s[1], "start": s[1]["start"] - 1}, *s[2:]]),
+        id="overlapping-scenes",
+    ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [s[0], {**s[0], "start": s[0]["end"], "roster": []}, *s[1:]]),
+        id="empty-scene",
+    ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [{**s[0], "roster": s[0]["roster"][0]}, *s[1:]]),
+        id="string-roster",
+    ),
+    pytest.param(
+        "captions.json",
+        lambda data: [{**data[0], "sentences": data[0]["sentences"][0]}, *data[1:]],
+        id="string-caption-sentences",
     ),
 ]
 

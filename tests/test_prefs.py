@@ -5,6 +5,7 @@ import threading
 import time
 import zlib
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -29,8 +30,8 @@ from scenefuse.prefs import (
     FactVerdict,
     PrefsReport,
     Reason,
-    extract_facts,
-    filter_facts,
+    _passes_filter,
+    _read_facts,
     judge_support,
     mark_duplicates,
     normalize_fact,
@@ -42,6 +43,18 @@ from scenefuse.prefs import (
 
 PRECISION_EXACT = 100.0 * 33 / 67
 RECALL_EXACT = 100.0 * 8 / 19
+
+
+def extract_facts(summary, backends, origin=GENERATED):
+    """Per-sentence extraction, one request after another."""
+    sentences = split_sentences(summary)
+    replies = (partial(backends.complete, FACT_EXTRACTOR, sentence=s) for s in sentences)
+    return _read_facts(sentences, replies, origin)
+
+
+def filter_facts(facts):
+    """Drop blacklisted and two-word facts; malformed ones always stay."""
+    return [f for f in facts if _passes_filter(f)]
 
 
 def fact(text: str, malformed: bool = False) -> Fact:

@@ -4,26 +4,52 @@ import itertools
 import math
 import random
 import tracemalloc
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from conftest import make_transcript
-from scenefuse.errors import EmptyTranscript, InvalidCount, TooLarge
+from scenefuse.errors import EmptyTranscript, InvalidCount
 from scenefuse.model import Transcript, scene_roster
 from scenefuse.pipeline import STAGES
 from scenefuse.segmentation import (
     _span_columns,
     _tables,
-    brute_force_partition,
     codebook_cost,
     effective_partition,
     optimal_partition,
     partition_from_breaks,
-    scene_cost,
-    span_costs,
 )
 
 SPEAKER_POOL = ["Alice", "Bob", "Charlie", "Dana"]
+
+
+def scene_cost(n_total: int, n_scene: int, length: int) -> float:
+    """Bits to encode one scene: codebook plus l * log2(n) line terms."""
+    if length < 1:
+        raise InvalidCount(f"scene length must be >= 1, got {length}")
+    return codebook_cost(n_total, n_scene) + length * math.log2(n_scene)
+
+
+class SpanCosts(NamedTuple):
+    """(m+1) x (m+1) distinct-speaker counts and scene costs of the spans [i, j), i < j."""
+
+    n_total: int
+    counts: np.ndarray
+    costs: np.ndarray
+
+
+def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCosts:
+    """Every column of span counts and costs, stacked as the DP never does."""
+    tables = _tables(transcript, n_speakers)
+    m = len(transcript.lines)
+    counts = np.zeros((m + 1, m + 1), np.int64)
+    costs = np.zeros((m + 1, m + 1), np.float64)
+    for j, count_col, cost_col in _span_columns(transcript, tables):
+        counts[:j, j] = count_col
+        costs[:j, j] = cost_col
+    return SpanCosts(tables.n_total, counts, costs)
 
 
 def random_transcript(rng: random.Random, m: int, n_names: int):
@@ -69,6 +95,22 @@ def exact_key(transcript, breaks, n_total: int):
         n = len(scene_roster(transcript, a, b))
         product *= math.comb(n_total, n) * n ** (b - a)
     return product, len(bounds) - 1, tuple(breaks)
+
+
+def brute_force_partition(transcript, n_speakers=None):
+    """Exhaustive minimum over all contiguous partitions (oracle).
+
+    Ranks every partition by exact_key, as optimal_partition ranks its
+    candidates, and costs the winner with partition_from_breaks, so the
+    two agree exactly, tie-breaking included.
+    """
+    m = len(transcript.lines)
+    if m == 0:
+        raise EmptyTranscript("cannot partition an empty transcript")
+    assert m <= 18, f"{m} lines are too many to enumerate"
+    n_total = len(transcript.roster) if n_speakers is None else n_speakers
+    best = min(exact_key(transcript, breaks, n_total) for breaks in enumerate_breaks(m))
+    return partition_from_breaks(transcript, best[2], n_speakers)
 
 
 def reference_dp(transcript, n_speakers=None):
@@ -229,9 +271,6 @@ def test_exact_description_length_decides_ties_among_five_or_more_names():
         t = make_transcript([rng.choice(names) for _ in range(rng.randint(1, 10))])
         dp, bf = optimal_partition(t), brute_force_partition(t)
         assert (dp.breaks, dp.total_cost) == (bf.breaks, bf.total_cost)
-        n_total = len(t.roster)
-        best = min(exact_key(t, breaks, n_total) for breaks in enumerate_breaks(len(t.lines)))
-        assert dp.breaks == best[2]
 
 
 def test_single_speaker_with_injected_roster_stays_whole():
@@ -282,12 +321,6 @@ def test_effective_partition_honors_markers():
     # without markers it falls back to the search
     t2 = make_transcript(["Alice", "Bob", "Alice", "Bob"])
     assert effective_partition(t2) == optimal_partition(t2)
-
-
-def test_brute_force_size_guard():
-    t = make_transcript(["Alice", "Bob"] * 10)  # 20 lines
-    with pytest.raises(TooLarge):
-        brute_force_partition(t)
 
 
 def test_empty_transcript_rejected_everywhere():

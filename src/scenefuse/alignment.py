@@ -5,7 +5,9 @@ lowercased, whitespace-collapsed text, divided by the shorter length.
 Dynamic time warping with steps {(1,0), (0,1), (1,1)} finds the
 monotone pairing minimizing the summed 1 - similarity; every visited
 cell pays its cell cost (no separate gap penalty). Scene breaks then
-transfer to time via the cues each scene's lines matched.
+transfer to time via the cues each scene's lines matched. The NumPy
+kernels are imported on the first alignment, so a run without captions
+never loads NumPy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import kernels
 from .errors import EmptySequence, UncoveredScene
 from .model import CaptionTrack, Partition
 
@@ -42,6 +43,8 @@ def dtw_align(lines: Sequence[str], cues: Sequence[str]) -> Alignment:
     """
     if not lines or not cues:
         raise EmptySequence("both sequences must be non-empty")
+    from . import kernels
+
     line_codes = [kernels.encode_text(normalize_text(t)) for t in lines]
     cue_codes = [kernels.encode_text(normalize_text(t)) for t in cues]
     cost = kernels.pair_cost_matrix(line_codes, cue_codes)

@@ -8,6 +8,8 @@ what summarize writes to the stage's file (align prints the alignment
 and the spans file in one object). summarize persists every stage under
 --out and prints the summary; evaluate prints the PREFS report. Exit
 codes: 0 success, 2 config error, 3 backend error, 4 data error.
+The stats commands import their NumPy module when they run, so the
+other commands start without it.
 """
 
 from __future__ import annotations
@@ -23,16 +25,6 @@ from .pipeline import (
     PipelineConfig, Run, config_from_dict, dumps, read_summary, run_eval, run_pipeline
 )
 from .segmentation import optimal_partition
-from .stats import (
-    SampleStats,
-    ari,
-    clustering_accuracy,
-    labels_from_breaks,
-    nmi,
-    uniform_breaks,
-    welch_df,
-    welch_t,
-)
 
 DEFAULT_OUT = "scenefuse-out"
 
@@ -114,6 +106,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _predicted_breaks(episode: Episode, method: str, k: int | None) -> list[int]:
+    from .stats import uniform_breaks
+
     transcript = episode.transcript
     m = len(transcript.lines)
     if method == "mdl":
@@ -127,6 +121,8 @@ def _predicted_breaks(episode: Episode, method: str, k: int | None) -> list[int]
 
 
 def cmd_stats_scene_split(args) -> int:
+    from .stats import ari, clustering_accuracy, labels_from_breaks, nmi
+
     dirs = args.episodes or ([args.episode] if args.episode else [])
     if not dirs:
         raise ConfigError("pass episode directories (positional) or --episode")
@@ -157,6 +153,8 @@ def cmd_stats_scene_split(args) -> int:
 
 
 def cmd_stats_welch(args) -> int:
+    from .stats import SampleStats, welch_df, welch_t
+
     a = SampleStats(args.mean1, args.std1, args.n1)
     b = SampleStats(args.mean2, args.std2, args.n2)
     _print_json({"t": welch_t(a, b), "df": welch_df(a, b)})

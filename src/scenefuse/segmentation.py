@@ -13,27 +13,56 @@ scenes is emergent, never supplied.
 Exactness contract: a scene costs log2(C(N, n) * n^l), so partitions
 are ranked by the exact integer product of their scenes' C(N, n) * n^l:
 exact description length, then fewer scenes, then the smallest break
-tuple. The DP screens each column with the float64 span costs
-cb[n] + l * lg[n] and ranks by that key only the candidates within a
-relative 2^-40 (about 8000 unit roundoffs) of the column minimum, more
-than the rounding error of a fold of up to about a thousand scenes. A
-reported cost is the left-to-right float fold of the scene costs, so DP
-totals are bit-identical to those of the exhaustive oracle in
-tests/test_segmentation.py.
+tuple. The DP works on the float span costs cb[n] + l * lg[n] and
+ranks by that key only the candidates within a relative margin
+S = _SCREEN_ULPS * (m + 8) * u of the column minimum (u = 2^-53, m
+lines). The margin covers the rounding of any fold:
+
+- lg[n] = log2 n is within one ulp; cb[n] sums n differences of logs
+  of at most N, so it is off by at most n u (4 log2 N + cb[n]). A scene
+  with n speakers costs at least n log2 N (C(N, n) >= (N/n)^n and
+  l >= n), so its float cost is within (l + 8) u of the exact one,
+  relative.
+- A fold of s scenes adds s - 1 roundings of at most u times the total,
+  and the longest scene's l plus s - 1 is at most m, so every candidate
+  is within e = (m + 8) u of its exact cost, relative, and S > 3e + 5u.
+
+A candidate above the column minimum times 1 + S thus costs more in
+exact terms too. Two rules drop starts that can never win again:
+
+- PELT (Killick, Fearnhead & Eckley 2012). Joining [i, j) and [j, j')
+  only raises n, so the l log2 n terms only grow and at most two
+  codebook terms are lost: cost(i, j') >= cost(i, j) + cost(j, j') - K
+  with K = 2 max_n C(N, n) over the transcript's speaker counts n. A
+  start whose candidate at column j exceeds best[j] + K exactly is
+  beaten strictly by start j at every later column. The float test is
+  candidate > (best[j] + K)(1 + S), strict, so a start that ties (as
+  all-zero costs do) stays.
+- All cast. Once [i, j) holds every speaker of the transcript, its
+  count n is fixed and every later candidate from i is its path's
+  product times C(N, n) n^(j' - i). The exact-key order of two such
+  starts (product ratio, scene count, break tuple) is then the same at
+  every later column, so only the winner among them is kept.
+
+Every column's choice is therefore the exact-key minimum over all
+starts, and a reported cost is the left-to-right float fold of the
+scene costs, so DP totals are bit-identical to those of the exhaustive
+oracle in tests/test_segmentation.py.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import Sequence
 
 from .errors import EmptyTranscript, InvalidCount
 from .model import Partition, Scene, Transcript, scene_roster
 
-_SCREEN = 2.0 ** -40  # the DP's near-minimum margin (see the exactness contract)
+# Near-minimum margin, in units of 2**-53 per line: S = 8 (m + 8) u is
+# well above the 3e + 5u the exactness contract needs.
+_SCREEN_ULPS = 8
 
 
 def codebook_cost(n_total: int, n_scene: int) -> float:
@@ -51,11 +80,15 @@ class _Tables:
     """Lookup tables indexed by a span's distinct-speaker count n.
 
     Slot 0 is never a real span; it keeps index arithmetic in range.
+    n_cast is the transcript's own speaker count, at most n_total, and
+    reach is PELT's K: twice the largest C(N, n) for n <= n_cast.
     """
 
     n_total: int
-    cb: np.ndarray
-    lg: np.ndarray
+    n_cast: int
+    cb: tuple[float, ...]
+    lg: tuple[float, ...]
+    reach: float
 
 
 def _tables(transcript: Transcript, n_speakers: int | None) -> _Tables:
@@ -63,33 +96,11 @@ def _tables(transcript: Transcript, n_speakers: int | None) -> _Tables:
     n_total = observed if n_speakers is None else n_speakers
     if n_total < observed:
         raise InvalidCount(f"N={n_total} below observed speaker count {observed}")
-    cb = np.zeros(n_total + 1, np.float64)
-    lg = np.zeros(n_total + 1, np.float64)
-    for n in range(1, n_total + 1):
-        cb[n] = codebook_cost(n_total, n)
-        lg[n] = math.log2(n)
-    return _Tables(n_total, cb, lg)
-
-
-def _span_columns(
-    transcript: Transcript, tables: _Tables
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (j, counts, costs) for the spans [i, j), i < j, j = 1..m.
-
-    cnt[i] is the distinct-speaker count of [i, j). Line j-1 adds its
-    speaker to exactly the spans starting after that speaker's previous
-    line p (p = -1 if none), so one slice increment advances the column.
-    The yielded counts are a view that the next step overwrites.
-    """
-    m = len(transcript.lines)
-    cnt = np.zeros(m, np.int64)
-    starts = np.arange(m)
-    last_seen: dict[str, int] = {}
-    for j, line in enumerate(transcript.lines, start=1):
-        cnt[last_seen.get(line.speaker, -1) + 1:j] += 1
-        last_seen[line.speaker] = j - 1
-        counts = cnt[:j]
-        yield j, counts, tables.cb[counts] + (j - starts[:j]) * tables.lg[counts]
+    cb = (0.0, *(codebook_cost(n_total, n) for n in range(1, n_total + 1)))
+    lg = (0.0, *(math.log2(n) for n in range(1, n_total + 1)))
+    # C(N, n) peaks at n = N // 2; one log2 of an exact int, within an ulp
+    reach = 2 * math.log2(math.comb(n_total, min(observed, n_total // 2)))
+    return _Tables(n_total, observed, cb, lg, reach)
 
 
 def _exact(tables: _Tables, n: int, length: int) -> int:
@@ -105,9 +116,8 @@ def _scenes(
     for a, b in zip(boundaries, boundaries[1:]):
         roster = scene_roster(transcript, a, b)
         n = len(roster)
-        # the _span_columns formula, on one span
-        cost = float(tables.cb[n] + (b - a) * tables.lg[n])
-        scenes.append(Scene(a, b, roster, cost))
+        # the DP's span cost formula, on one span
+        scenes.append(Scene(a, b, roster, tables.cb[n] + (b - a) * tables.lg[n]))
     return tuple(scenes)
 
 
@@ -126,21 +136,26 @@ def optimal_partition(
     """Globally cheapest partition of the transcript into scenes.
 
     best[j] holds the float cost of the chosen encoding of lines [0, j);
-    each candidate extends best[i] with one scene [i, j), all i at once.
-    The candidates near the column minimum are ranked by the exact key
-    (description length as an integer, scene count, break tuple), so the
-    result is deterministic and matches the exhaustive oracle in the
-    tests. Memory is O(m): one cost column at a time, never the
-    (m+1)^2 span table.
+    each candidate extends best[i] with one scene [i, j), for every
+    start i still active. Each active start keeps the distinct-speaker
+    count of [i, j), advanced through the previous line of line j-1's
+    speaker. The candidates near the column minimum are ranked by the
+    exact key (description length as an integer, scene count, break
+    tuple), so the result is deterministic and matches the exhaustive
+    oracle in the tests; PELT and the all-cast rule then drop the
+    starts that can never win (see the exactness contract). Memory is
+    O(m), never the (m+1)^2 span table.
     """
     if not transcript.lines:
         raise EmptyTranscript("cannot partition an empty transcript")
     tables = _tables(transcript, n_speakers)
-    m = len(transcript.lines)
+    cb, lg = tables.cb, tables.lg
+    screen = _SCREEN_ULPS * (len(transcript.lines) + 8) * 2.0**-53
 
-    best = np.zeros(m + 1, np.float64)
-    nscenes = [0] * (m + 1)
-    back = [0] * (m + 1)
+    best = [0.0]
+    nscenes = [0]
+    back = [0]
+    last_n = [0]  # speakers of each prefix's chosen last scene
     exact = {0: 1}  # the chosen path's 2 ** cost, made on first use
 
     def path_exact(i: int) -> int:
@@ -148,29 +163,60 @@ def optimal_partition(
         while chain[-1] not in exact:
             chain.append(back[chain[-1]])
         for k in reversed(chain[:-1]):
-            n = len(scene_roster(transcript, back[k], k))
-            exact[k] = exact[back[k]] * _exact(tables, n, k - back[k])
+            exact[k] = exact[back[k]] * _exact(tables, last_n[k], k - back[k])
         return exact[i]
 
-    for j, counts, col in _span_columns(transcript, tables):
-        cand = best[:j] + col
-        lo = cand.min()
-        near = np.flatnonzero(cand <= lo + lo * _SCREEN).tolist()
-        i = near[0]
-        if len(near) > 1:  # break tuples are built only where the rest of the key ties
-            key = {
-                k: (path_exact(k) * _exact(tables, int(counts[k]), j - k), nscenes[k])
-                for k in near
-            }
-            low = min(key.values())
-            ties = [k for k in near if key[k] == low]
-            i = min(ties, key=lambda k: _breaks_ending_at(back, k) + (k,))
-        best[j] = cand[i]
-        nscenes[j] = nscenes[i] + 1
-        back[j] = i
+    starts: list[int] = []  # active starts, ascending
+    counts: list[int] = []  # distinct speakers of [start, j), so non-increasing
+    cand: list[float] = []
 
-    breaks = _breaks_ending_at(back, m)
-    return Partition(_scenes(transcript, tables, breaks), float(best[m]))
+    def pick(ks: Sequence[int], j: int) -> int:
+        """The k in ks whose start has the least exact key at column j.
+
+        ks index the column's starts, counts and cand.
+        """
+        lo = min(map(cand.__getitem__, ks))
+        lo += lo * screen
+        near = [k for k in ks if cand[k] <= lo]
+        if len(near) == 1:  # break tuples are built only where the rest of the key ties
+            return near[0]
+        key = {
+            k: (path_exact(starts[k]) * _exact(tables, counts[k], j - starts[k]),
+                nscenes[starts[k]])
+            for k in near
+        }
+        low = min(key.values())
+        ties = [k for k in near if key[k] == low]
+        return min(ties, key=lambda k: _breaks_ending_at(back, starts[k]) + (starts[k],))
+
+    last_seen: dict[str, int] = {}
+    for j, line in enumerate(transcript.lines, start=1):
+        starts.append(j - 1)
+        counts.append(0)
+        for k in range(bisect_right(starts, last_seen.get(line.speaker, -1)), len(starts)):
+            counts[k] += 1
+        last_seen[line.speaker] = j - 1
+        cand = [best[i] + (cb[n] + (j - i) * lg[n]) for i, n in zip(starts, counts)]
+        k = pick(range(len(starts)), j)
+        best.append(cand[k])
+        nscenes.append(nscenes[starts[k]] + 1)
+        back.append(starts[k])
+        last_n.append(counts[k])
+
+        bound = best[j] + tables.reach
+        bound += bound * screen
+        keep = [k for k, c in enumerate(cand) if c <= bound]
+        full = 0  # all-cast starts lead, as counts do not increase
+        while full < len(keep) and counts[keep[full]] == tables.n_cast:
+            full += 1
+        if full > 1:
+            keep[:full] = [pick(keep[:full], j)]
+        if len(keep) < len(starts):
+            starts = [starts[k] for k in keep]
+            counts = [counts[k] for k in keep]
+
+    breaks = _breaks_ending_at(back, len(transcript.lines))
+    return Partition(_scenes(transcript, tables, breaks), best[-1])
 
 
 def partition_from_breaks(

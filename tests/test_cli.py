@@ -395,20 +395,54 @@ def test_mock_flag_overrides_configured_endpoints(capsys, tmp_path, episode_dir)
     assert out.startswith("Episode recap:")
 
 
-@pytest.mark.parametrize("name", ["scipy", "requests", "urllib3", "http"])
-def test_cli_import_loads_no(name):
-    # a fresh interpreter, so no other test's imports can hide a load
+def fresh_python(probe: str) -> str:
+    """stdout of probe run in a new interpreter, so no other test's imports hide a load."""
     env = dict(os.environ)
     package_root = str(Path(scenefuse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("name", ["scipy", "requests", "urllib3", "http", "numpy"])
+def test_cli_import_loads_no(name):
     probe = (
         "import sys, scenefuse.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {name!r}))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert fresh_python(probe) == "[]"
+
+
+def test_numpy_loads_only_where_alignment_runs(tmp_path):
+    # segmentation, reordering, fusion and scoring are pure Python; only
+    # the alignment kernels need NumPy, and they are imported on first use
+    plain = "".join(
+        line for line in EPISODE_TRANSCRIPT.splitlines(keepends=True)
+        if line.strip() != "[SCENE_BREAK]"
     )
-    assert done.stdout.strip() == "[]"
+    bare = write_episode(tmp_path / "bare", plain, gold=GOLD)
+    captioned = write_episode(
+        tmp_path / "captioned", EPISODE_TRANSCRIPT, captions=episode_captions()
+    )
+    out = tmp_path / "out"
+    commands = [
+        [bare, "segment"], [bare, "reorder"], [bare, "summarize"], [bare, "evaluate"],
+        [captioned, "align"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from scenefuse.cli import main\n"
+        f"for episode, command in {[[str(e), c] for e, c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = main(['--mock', '--episode', episode, '--out', {str(out)!r}, command])\n"
+        "    print(command, code, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_python(probe).splitlines() == [
+        "segment 0 False", "reorder 0 False", "summarize 0 False", "evaluate 0 False",
+        "align 0 True",
+    ]
 
 
 def test_version_flag(capsys):

@@ -2,21 +2,23 @@
 
 STAGES declares each stage once, in pipeline order: segment, align (the
 alignment, then the per-scene time spans), caption, summarize, reorder,
-fuse-input, fuse; each entry holds the stage's file, compute and JSON
-format. A Run gives each stage's value once, on first use, and a compute
-reads the values it needs from the run. The CLI views only compute.
+fuse-input, fuse; each entry holds the stage's file, compute, reads and
+JSON format. A Run gives each stage's value once, on first use, and a
+compute reads the values it needs from the run. The CLI views only compute.
 
-run_pipeline also persists: it reuses a stage file that loads into a
-value of this run and computes and writes any other, so a deleted, cut
-or corrupt file re-executes exactly its stage. Before its first compute
-it checks that every stage file can be written, and it writes each
-through a temp file and os.replace, so a crash leaves the old file or
-none. A path that cannot be read or written is a ConfigError. Ablation
-flags drop a stage and its content from the fusion input.
+run_pipeline also persists, by one rule: a stage file is reused only if
+its sha256 and its input key (of all the stage reads) match its entry in
+stages.json, so a changed file or input re-executes exactly the stages
+that read a changed value. Before its first compute it checks that every
+file can be written. It writes each stage file through a temp file and
+os.replace, so a crash leaves the old file or none, and stages.json once
+at the end, after a failed stage too. A path that cannot be read or
+written is a ConfigError. Ablation flags drop a stage and its content.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -252,29 +254,6 @@ def _fuse(run: Run) -> str:
     return summary
 
 
-_INDEX, _TEXT, _COST = {int}, {str}, {int, float}
-
-
-def _typed(kinds: set, values):
-    """values, if the type of each is in kinds; true and false are bools, not ints."""
-    if not set(map(type, values)) <= kinds:
-        raise TypeError(f"a value is not of {kinds}")
-    return values
-
-
-def _array(value) -> list:
-    """value, if it is a JSON array; a string or an object iterates as characters or keys."""
-    if type(value) is not list:
-        raise TypeError("not a JSON array")
-    return value
-
-
-def _per_scene(run: Run, tree) -> list:
-    if len(_array(tree)) != len(run["segment"].scenes):
-        raise ValueError("not one entry per scene")
-    return tree
-
-
 def _dump_partition(run: Run, p: Partition) -> dict:
     scenes = [
         {"start": s.start, "end": s.end, "roster": sorted(s.roster), "cost_bits": s.cost_bits}
@@ -283,67 +262,39 @@ def _dump_partition(run: Run, p: Partition) -> dict:
     return {"breaks": list(p.breaks), "scenes": scenes, "total_cost_bits": p.total_cost}
 
 
-def _load_partition(run: Run, tree) -> Partition:
+def _load_partition(tree) -> Partition:
     scenes = tuple(
-        Scene(s["start"], s["end"], frozenset(_array(s["roster"])), s["cost_bits"])
-        for s in _array(tree["scenes"])
+        Scene(s["start"], s["end"], frozenset(s["roster"]), s["cost_bits"]) for s in tree["scenes"]
     )
-    partition = Partition(scenes, tree["total_cost_bits"])  # "breaks" follow from the scenes
-    _typed(_INDEX, [i for s in scenes for i in (s.start, s.end)])
-    _typed(_TEXT, [name for s in scenes for name in s.roster])
-    _typed(_COST, [partition.total_cost, *(s.cost_bits for s in scenes)])
-    # each scene starts where the previous one ends; the ends rise strictly to the line count
-    bounds = [0, *(s.end for s in scenes)]
-    rising = bounds == sorted(set(bounds)) and bounds[-1] == len(run.episode.transcript.lines)
-    if not rising or [s.start for s in scenes] != bounds[:-1]:
-        raise ValueError("scenes do not tile the transcript")
-    return partition
+    return Partition(scenes, tree["total_cost_bits"])  # "breaks" follow from the scenes
 
 
 def _dump_alignment(run: Run, alignment: Alignment) -> dict:
     return {"path": [list(pair) for pair in alignment.pairs], "total_cost": alignment.total_cost}
 
 
-def _load_alignment(run: Run, tree) -> Alignment:
-    pairs = tuple((line, cue) for line, cue in _array(tree["path"]))
-    alignment = Alignment(pairs, tree["total_cost"])
-    _typed(_INDEX, [i for pair in pairs for i in pair])
-    _typed(_COST, [alignment.total_cost])
-    end = (len(run.episode.transcript.lines) - 1, len(run.episode.captions.cues) - 1)
-    steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(pairs, pairs[1:])}
-    if pairs[:1] != ((0, 0),) or pairs[-1:] != (end,) or not steps <= {(1, 0), (0, 1), (1, 1)}:
-        raise ValueError("not a warping path from the first line and cue to the last")
-    return alignment
+def _load_alignment(tree) -> Alignment:
+    return Alignment(tuple((line, cue) for line, cue in tree["path"]), tree["total_cost"])
 
 
 def _dump_spans(run: Run, spans: list[TimeSpan]) -> list[dict]:
     return [{"scene": i, "start_ms": s.start, "end_ms": s.end} for i, s in enumerate(spans)]
 
 
-def _load_spans(run: Run, tree) -> list[TimeSpan]:
-    spans = [TimeSpan(d["start_ms"], d["end_ms"]) for d in _per_scene(run, tree)]
-    _typed(_INDEX, [ms for s in spans for ms in (s.start, s.end)])
-    return spans
+def _load_spans(tree) -> list[TimeSpan]:
+    return [TimeSpan(d["start_ms"], d["end_ms"]) for d in tree]
 
 
 def _dump_captions(run: Run, captions: list[SceneCaption]) -> list[dict]:
     return [{"scene_index": c.scene_index, "sentences": list(c.sentences)} for c in captions]
 
 
-def _load_captions(run: Run, tree) -> list[SceneCaption]:
-    rows = _per_scene(run, tree)
-    captions = [SceneCaption(row["scene_index"], tuple(_array(row["sentences"]))) for row in rows]
-    _typed(_INDEX, [c.scene_index for c in captions])
-    _typed(_TEXT, [s for c in captions for s in c.sentences])
-    return captions
+def _load_captions(tree) -> list[SceneCaption]:
+    return [SceneCaption(row["scene_index"], tuple(row["sentences"])) for row in tree]
 
 
 def _dump_summaries(run: Run, summaries: list[str]) -> list[str]:
     return list(summaries)
-
-
-def _load_summaries(run: Run, tree) -> list[str]:
-    return _typed(_TEXT, _per_scene(run, tree))
 
 
 def _dump_order(run: Run, order: SceneOrder) -> dict:
@@ -355,12 +306,8 @@ def _dump_order(run: Run, order: SceneOrder) -> dict:
     }
 
 
-def _load_order(run: Run, tree) -> SceneOrder:
-    order = SceneOrder(tuple(_array(tree["permutation"])), tree["reordered_cost"])
-    _typed(_COST, [order.cost])
-    if sorted(_typed(_INDEX, order.permutation)) != list(range(len(run["segment"].scenes))):
-        raise ValueError("not a permutation of the scenes")
-    return order
+def _load_order(tree) -> SceneOrder:
+    return SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"])
 
 
 def dumps(obj) -> str:
@@ -369,45 +316,99 @@ def dumps(obj) -> str:
 
 
 class Stage(NamedTuple):
-    """One stage file: the stage's name in errors, the file, compute and format.
+    """One stage file: the stage's name in errors, the file, compute, reads and format.
 
-    dump gives a value's JSON tree. load gives the tree's value, and
-    raises ValueError, KeyError, TypeError or IndexError on a tree that
-    is not a value of the run: of other JSON types, without one entry
-    per scene, or not a permutation of the scenes. A text stage has
-    neither; its file is the text and a closing newline.
+    reads names all that compute reads: upstream stages (STAGES keys),
+    episode parts (transcript, cues, visual_captions), the lexicon,
+    PipelineConfig fields and backend roles. The input key hashes them
+    and version, which goes up with any change to what the stage makes
+    from the same reads, so load only decodes bytes this code wrote for
+    these inputs. dump gives a value's JSON tree and load the tree's
+    value; a text stage has neither, and its file is the text and a
+    newline.
     """
 
     name: str
     file: str
     compute: Callable[[Run], Any]
+    reads: tuple[str, ...]
     dump: Callable[[Run, Any], Any] | None = None
-    load: Callable[[Run, Any], Any] | None = None
+    load: Callable[[Any], Any] | None = None
+    version: int = 1
 
-    def encode(self, run: Run, value) -> str:
-        return value + "\n" if self.dump is None else dumps(self.dump(run, value))
+    def encode(self, run: Run, value) -> bytes:
+        text = value + "\n" if self.dump is None else dumps(self.dump(run, value))
+        return text.encode("utf-8")
 
-    def decode(self, run: Run | None, text: str):
-        if self.load is not None:
-            return self.load(run, json.loads(text))
-        if not text.endswith("\n"):  # cut short
-            raise ValueError("text artifact lacks its closing newline")
-        return text[:-1]
+    def decode(self, data: bytes):
+        text = data.decode("utf-8")
+        return text[:-1] if self.load is None else self.load(json.loads(text))
 
 
 # one entry per stage file, in pipeline order
 STAGES = {
-    "segment": Stage("segment", "partition.json", _segment, _dump_partition, _load_partition),
-    "align": Stage("align", "alignment.json", _align, _dump_alignment, _load_alignment),
-    "spans": Stage("align", "spans.json", _spans, _dump_spans, _load_spans),
-    "caption": Stage("caption", "captions.json", _caption, _dump_captions, _load_captions),
-    "summarize": Stage(
-        "summarize", "summaries.json", _summarize, _dump_summaries, _load_summaries
-    ),
-    "reorder": Stage("reorder", "order.json", _reorder, _dump_order, _load_order),
-    "fuse-input": Stage("fuse-input", "fusion_input.txt", _fuse_input),
-    "fuse": Stage("fuse", "summary.txt", _fuse),
+    "segment": Stage("segment", "partition.json", _segment, ("transcript", "uniform_chunks"),
+                     _dump_partition, _load_partition),
+    "align": Stage("align", "alignment.json", _align, ("transcript", "cues"),
+                   _dump_alignment, _load_alignment),
+    "spans": Stage("align", "spans.json", _spans, ("segment", "align", "cues"),
+                   _dump_spans, _load_spans),
+    "caption": Stage("caption", "captions.json", _caption,
+                     ("segment", "visual_captions", "lexicon"), _dump_captions, _load_captions),
+    "summarize": Stage("summarize", "summaries.json", _summarize,
+                       ("segment", "transcript", be.DIALOGUE_SUMMARIZER), _dump_summaries, list),
+    "reorder": Stage("reorder", "order.json", _reorder, ("segment", "skip_reorder"),
+                     _dump_order, _load_order),
+    "fuse-input": Stage("fuse-input", "fusion_input.txt", _fuse_input,
+                        ("caption", "summarize", "reorder", "context_budget")),
+    "fuse": Stage("fuse", "summary.txt", _fuse, ("fuse-input", be.FUSION_SUMMARIZER)),
 }
+
+RECORD = "stages.json"  # beside the stage files: each one's input key and sha256
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _input(run: Run, read: str) -> str:
+    """The text to hash for a read that is not a stage of this run; no field holds a newline."""
+    if read in STAGES:
+        return "skipped"
+    if read in be.ROLES:
+        rt = run.config.backends.runtime(read)
+        return f"{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
+    if read == "transcript":  # 2m + 1 parts for m lines; a JSON encoding costs more
+        lines = run.episode.transcript.lines
+        parts = [ln.speaker for ln in lines] + [ln.text for ln in lines]
+        return "\n".join([repr(run.episode.transcript.explicit_breaks), *parts])
+    if read == "cues":
+        return "\n".join(f"{c.start} {c.end} {c.text}" for c in run.episode.captions.cues)
+    if read == "visual_captions":
+        return json.dumps(run.episode.precomputed_captions)
+    if read == "lexicon":  # sets of names, so in sorted order
+        male, female = sorted(run.config.lexicon.male), sorted(run.config.lexicon.female)
+        return "\n".join([str(len(male)), *male, *female])
+    return repr(getattr(run.config, read))
+
+
+def _read(path: Path) -> bytes | None:
+    """The bytes of path, None if there is no such file."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_record(out: Path) -> dict:
+    """stages.json under out; missing, unreadable or not an object, it records nothing."""
+    try:
+        tree = json.loads((out / RECORD).read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return tree if type(tree) is dict else {}
 
 
 def _temp_path(path: Path) -> Path:
@@ -433,8 +434,8 @@ def check_writable(*paths: Path) -> None:
         raise ConfigError(f"cannot write {paths[0]}: {exc.strerror or exc}") from exc
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write text through a per-thread temp file and os.replace.
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write data through a per-thread temp file and os.replace.
 
     A reader sees the old file or the whole new one, never a partial
     write. A path that cannot be written is a ConfigError, and the temp
@@ -442,7 +443,7 @@ def write_atomic(path: Path, text: str) -> None:
     """
     tmp = _temp_path(path)
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
         try:
@@ -457,8 +458,9 @@ class Run:
 
     run[key] is the value of STAGES[key]. stages holds the keys of the
     stages that run_pipeline makes, and get gives a default for the
-    others. With out, a stage file there that loads is the value, and
-    any other value is computed and written there.
+    others. With out, a stage file there is the value if its sha256 and
+    its input key are those stages.json records; any other value is
+    computed and written there, and save records it.
     """
 
     def __init__(self, episode: Episode, config: PipelineConfig, out: Path | None = None):
@@ -468,11 +470,13 @@ class Run:
                    "caption": config.skip_vision, "summarize": config.skip_transcript}
         self.stages = [key for key in STAGES if not skipped.get(key)]
         self._values: dict[str, Any] = {}
-        self._unchecked = True
+        self._digests: dict[str, str] = {}  # read -> sha256; a stage's is its file's
+        self._record = _read_record(out) if out else {}
+        self._computed = False
 
     def __getitem__(self, key: str):
         if key not in self._values:
-            self._values[key] = self._make(STAGES[key])
+            self._values[key] = self._make(key)
         return self._values[key]
 
     def get(self, key: str, default=None):
@@ -481,20 +485,27 @@ class Run:
     def dump(self, key: str):
         return STAGES[key].dump(self, self[key])
 
-    def _make(self, stage: Stage):
-        path = self.out and self.out / stage.file
-        if path:
-            try:
-                return stage.decode(self, path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                pass  # not computed yet
-            except OSError as exc:
-                raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-            except (ValueError, KeyError, TypeError, IndexError):
-                pass  # corrupt, or not this run's: recompute and overwrite it
-            if self._unchecked:  # fail before the first request, not after the last
-                self._unchecked = False
-                check_writable(*(self.out / STAGES[key].file for key in self.stages))
+    def _digest(self, read: str) -> str:
+        """sha256 of what a stage reads under this name, made at most once."""
+        if read in self.stages:
+            self[read]  # making it records its file's sha256
+        elif read not in self._digests:
+            self._digests[read] = _sha256(_input(self, read).encode("utf-8"))
+        return self._digests[read]
+
+    def _make(self, key: str):
+        stage = STAGES[key]
+        if self.out:
+            parts = [stage.file, str(stage.version), *map(self._digest, stage.reads)]
+            input_key = _sha256(" ".join(parts).encode("utf-8"))
+            data = _read(self.out / stage.file)
+            if data is not None:
+                self._digests[key] = digest = _sha256(data)
+                if self._record.get(stage.file) == {"key": input_key, "sha256": digest}:
+                    return stage.decode(data)
+            if not self._computed:  # fail before the first request, not after the last
+                files = [STAGES[k].file for k in self.stages] + [RECORD]
+                check_writable(*(self.out / file for file in files))
         try:
             value = stage.compute(self)
         except ScenefuseError as exc:
@@ -502,24 +513,33 @@ class Run:
                 exc.stage = stage.name
                 exc.args = (f"stage {stage.name}: {exc}",)
             raise
-        if path:
-            write_atomic(path, stage.encode(self, value))
+        if self.out:
+            data = stage.encode(self, value)
+            write_atomic(self.out / stage.file, data)
+            self._digests[key] = digest = _sha256(data)
+            self._record[stage.file] = {"key": input_key, "sha256": digest}
+            self._computed = True
         return value
+
+    def save(self) -> None:
+        """Write stages.json, if this run computed a stage."""
+        if self._computed:
+            write_atomic(self.out / RECORD, dumps(self._record).encode("utf-8"))
 
 
 def read_summary(episode: Episode, config: PipelineConfig) -> str:
-    """The summary a run persisted, decoded by the fuse stage."""
-    stage = STAGES["fuse"]
-    path = config.out_dir / episode.id / stage.file
-    if not path.is_file():
+    """The summary a run persisted, if its sha256 is the one stages.json records."""
+    stage, out = STAGES["fuse"], config.out_dir / episode.id
+    data = _read(out / stage.file)
+    if data is None:
         raise DataError(
             f"no summary to evaluate: pass --summary-file or run summarize first "
-            f"(looked for {path})"
+            f"(looked for {out / stage.file})"
         )
-    try:
-        return stage.decode(None, path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(f"{path} is cut short or unreadable ({exc}); rerun summarize") from exc
+    entry = _read_record(out).get(stage.file)
+    if not isinstance(entry, dict) or entry.get("sha256") != _sha256(data):
+        raise DataError(f"{out / stage.file} is not the summary {RECORD} records; rerun summarize")
+    return stage.decode(data)
 
 
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
@@ -527,17 +547,20 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
     out = config.out_dir / episode.id
     make_dir(out, "--out directory")
     run = Run(episode, config, out)
-    return EpisodeArtifacts(
-        partition=run["segment"],
-        alignment=run.get("align"),
-        time_spans=run.get("spans"),
-        scene_captions=run.get("caption", []),
-        scene_summaries=run.get("summarize", []),
-        order=run["reorder"],
-        fusion_input=run["fuse-input"],
-        final_summary=run["fuse"],
-        out_dir=out,
-    )
+    try:
+        return EpisodeArtifacts(
+            partition=run["segment"],
+            alignment=run.get("align"),
+            time_spans=run.get("spans"),
+            scene_captions=run.get("caption", []),
+            scene_summaries=run.get("summarize", []),
+            order=run["reorder"],
+            fusion_input=run["fuse-input"],
+            final_summary=run["fuse"],
+            out_dir=out,
+        )
+    finally:  # a failed run records the stages it made
+        run.save()
 
 
 def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsReport:
@@ -550,5 +573,5 @@ def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsRep
     report = prefs_multi_reference(
         summary, episode.gold_summaries, config.backends, config.max_workers
     )
-    write_atomic(out / "prefs.json", dumps(report.to_dict()))
+    write_atomic(out / "prefs.json", dumps(report.to_dict()).encode("utf-8"))
     return report

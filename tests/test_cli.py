@@ -227,6 +227,29 @@ def test_evaluate_refuses_a_cut_summary(capsys, tmp_path, episode_dir):
     assert not (out_dir / "ep1" / "prefs.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda out: (out / "summary.txt").write_text("Another summary.\n", encoding="utf-8"),
+        lambda out: (out / "stages.json").unlink(),
+    ],
+    ids=["replaced-summary", "missing-stages-json"],
+)
+def test_evaluate_scores_only_the_summary_that_stages_json_records(
+    capsys, tmp_path, episode_dir, edit
+):
+    out_dir = tmp_path / "artifacts"
+    code, _, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 0, err
+    edit(out_dir / "ep1")
+
+    code, out, err = run(capsys, "--episode", episode_dir, "--out", out_dir, "evaluate")
+    assert code == 4
+    assert out == ""
+    assert "rerun summarize" in err
+    assert not (out_dir / "ep1" / "prefs.json").exists()
+
+
 def test_evaluate_without_any_summary(capsys, tmp_path, episode_dir):
     code, _, err = run(
         capsys, "--episode", episode_dir, "--out", tmp_path / "artifacts", "evaluate"

@@ -2,7 +2,6 @@
 
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,15 +24,10 @@ def scenes_of(rosters) -> Partition:
     )
 
 
-class RunStandIn(dict):
-    """A run holding only what stage formats read: the partition and the episode."""
-
-
-def round_trip(key, value, partition=None, episode=None):
-    run = RunStandIn(segment=partition)
-    run.episode = episode
+def round_trip(key, value, partition=None):
     stage = STAGES[key]
-    return stage.load(run, json.loads(json.dumps(stage.dump(run, value))))
+    run = {"segment": partition}  # all that a stage format reads of a run
+    return stage.load(json.loads(json.dumps(stage.dump(run, value))))
 
 
 def random_text(rng: random.Random) -> str:
@@ -47,10 +41,8 @@ def test_partition_round_trip(seed):
         m = rng.randint(1, 60)
         transcript = make_transcript([rng.choice(NAMES) for _ in range(m)])
         breaks = rng.sample(range(1, m), rng.randint(0, min(m - 1, 6)))
-        # the partition format checks that the scenes tile the transcript
-        episode = SimpleNamespace(transcript=transcript)
         for partition in (partition_from_breaks(transcript, breaks), optimal_partition(transcript)):
-            back = round_trip("segment", partition, episode=episode)
+            back = round_trip("segment", partition)
             assert isinstance(back, Partition)
             assert back == partition
             assert repr(back.total_cost) == repr(partition.total_cost)
@@ -66,11 +58,7 @@ def test_alignment_round_trip(seed):
         lines = [random_text(rng) for _ in range(rng.randint(1, 12))]
         cues = [random_text(rng) for _ in range(rng.randint(1, 12))]
         alignment = dtw_align(lines, cues)
-        # the alignment format checks its path against the line and cue counts
-        episode = SimpleNamespace(
-            transcript=SimpleNamespace(lines=lines), captions=SimpleNamespace(cues=cues)
-        )
-        back = round_trip("align", alignment, episode=episode)
+        back = round_trip("align", alignment)
         assert isinstance(back, Alignment)
         assert back == alignment
         assert repr(back.total_cost) == repr(alignment.total_cost)
@@ -91,7 +79,7 @@ def test_scene_order_round_trip(seed):
         # order.json also carries the original order's cost; the loader skips it
         data = STAGES["reorder"].dump(run, order)
         assert "original_cost" in data
-        assert STAGES["reorder"].load(run, data) == order
+        assert STAGES["reorder"].load(data) == order
 
 
 def test_scene_caption_and_time_span_round_trip():
@@ -109,7 +97,7 @@ def test_spans_file_format_labels_each_scene():
     data = STAGES["spans"].dump(None, spans)
     assert [d["scene"] for d in data] == [0, 1]
     # spans.json also carries each scene's index; the loader skips it
-    assert STAGES["spans"].load({"segment": scenes_of([(), ()])}, data) == spans
+    assert STAGES["spans"].load(data) == spans
 
 
 def test_partition_reader_ignores_the_derived_breaks():
@@ -118,5 +106,4 @@ def test_partition_reader_ignores_the_derived_breaks():
     data = STAGES["segment"].dump(None, partition)
     assert data["breaks"] == [3]
     del data["breaks"]
-    run = SimpleNamespace(episode=SimpleNamespace(transcript=transcript))
-    assert STAGES["segment"].load(run, data) == partition
+    assert STAGES["segment"].load(data) == partition

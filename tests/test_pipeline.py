@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +32,7 @@ from scenefuse.backends import (
     default_mock_transport,
     default_template,
 )
+from scenefuse.captions import GenderLexicon
 from scenefuse.errors import (
     BudgetTooSmall,
     ConfigError,
@@ -414,15 +419,17 @@ DAMAGE = {
     "half": lambda data: data[: len(data) // 2],
     "empty": lambda data: b"",
     "undecodable": lambda data: b"\xff\xfe not text",
-    # valid JSON of the wrong kind; the text artifacts hold free text, so
-    # only their closing newline tells a complete file from a cut one
+    # valid JSON of the wrong kind, and valid text for a text artifact
     "json-scalar": lambda data: b"7\n",
+    # a cut at a line end: valid text, but only its first line
+    "first-line": lambda data: data[: data.index(b"\n") + 1],
 }
 CORRUPTIONS = [
     pytest.param(name, damage, id=f"{damage}-{name}")
     for damage in DAMAGE
     for name in STAGE_FILES
-    if damage != "json-scalar" or name.endswith(".json")
+    # summary.txt is one line, so that cut leaves it whole
+    if (damage, name) != ("first-line", "summary.txt")
 ]
 
 
@@ -448,7 +455,7 @@ def test_pipeline_recomputes_a_corrupt_artifact(tmp_path, name, damage):
     run_pipeline(episode, config)
     assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
     # the rewrite went through a temp file that os.replace consumed
-    assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES)
+    assert sorted(p.name for p in out.iterdir()) == sorted(STAGE_FILES + ("stages.json",))
 
 
 def scenes_edited(edit):
@@ -457,7 +464,8 @@ def scenes_edited(edit):
 
 
 # valid JSON that does not fit the partition's 3 scenes, scenes that do
-# not tile the transcript, or a value of the wrong JSON type
+# not tile the transcript, a value of the wrong JSON type, or a scene
+# whose roster or cost is not the one its lines give
 MISFITS = [
     pytest.param("spans.json", lambda data: data[:-1], id="short-spans"),
     pytest.param("captions.json", lambda data: data + data[-1:], id="long-captions"),
@@ -515,6 +523,16 @@ MISFITS = [
         lambda data: [{**data[0], "sentences": data[0]["sentences"][0]}, *data[1:]],
         id="string-caption-sentences",
     ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [{**s[0], "roster": s[-1]["roster"]}, *s[1:]]),
+        id="another-scenes-roster",
+    ),
+    pytest.param(
+        "partition.json",
+        scenes_edited(lambda s: [{**s[0], "cost_bits": s[0]["cost_bits"] + 1}, *s[1:]]),
+        id="edited-cost-bits",
+    ),
 ]
 
 
@@ -567,7 +585,189 @@ def test_pipeline_recomputes_stages_written_for_another_partition(tmp_path):
     assert {n: (out / n).read_bytes() for n in STAGE_FILES} == expected
 
 
-@pytest.mark.parametrize("name", ["order.json", "summary.txt"])
+def record_computes(monkeypatch) -> list[str]:
+    """The keys of the stages computed from now on, in order."""
+    computed = []
+    for key, stage in pipeline.STAGES.items():
+        def compute(run, key=key, compute=stage.compute):
+            computed.append(key)
+            return compute(run)
+
+        monkeypatch.setitem(pipeline.STAGES, key, stage._replace(compute=compute))
+    return computed
+
+
+def reorderable_episode(root: Path) -> Path:
+    """A bundle that runs every stage, and whose reorder moves a scene."""
+    return write_episode(
+        root / "ep", INTERLEAVED, captions=episode_captions(INTERLEAVED), visual=EPISODE_VISUAL[:3]
+    )
+
+
+def edit_bundle(name: str, old: str, new: str):
+    def change(bundle: Path, config: PipelineConfig):
+        text = (bundle / name).read_text(encoding="utf-8")
+        assert old in text
+        (bundle / name).write_text(text.replace(old, new), encoding="utf-8")
+    return change
+
+
+def set_field(field: str, value):
+    return lambda bundle, config: setattr(config, field, value)
+
+
+def set_role(role: str, field: str, value):
+    return lambda bundle, config: setattr(config.backends.roles[role], field, value)
+
+
+AFTER_SEGMENT = {"segment", "spans", "caption", "summarize", "reorder", "fuse-input", "fuse"}
+FUSION = {"fuse-input", "fuse"}
+# one change to the inputs of a filled --out, and the stages it must
+# recompute: those that read the change, and those that read a stage
+# file whose bytes it changed
+KEY_CHANGES = [
+    pytest.param(set_field("uniform_chunks", True), AFTER_SEGMENT, id="uniform_chunks"),
+    pytest.param(set_field("skip_reorder", True), {"reorder"} | FUSION, id="skip_reorder"),
+    pytest.param(set_field("context_budget", 20), FUSION, id="context_budget"),
+    pytest.param(set_field("skip_vision", True), FUSION, id="skip_vision"),
+    pytest.param(set_field("skip_transcript", True), FUSION, id="skip_transcript"),
+    pytest.param(set_field("max_workers", 1), set(), id="max_workers"),
+    pytest.param(
+        set_field("lexicon", GenderLexicon(frozenset(), frozenset({"jessica"}))),
+        {"caption"} | FUSION,
+        id="lexicon",
+    ),
+    *(
+        pytest.param(set_role(role, field, value), {stage}, id=f"{role}-{field}")
+        for role, stage in (("dialogue_summarizer", "summarize"), ("fusion_summarizer", "fuse"))
+        for field, value in (
+            ("template", "Recap:\n{scene}{notes}"),
+            ("model_name", "another-model"),
+            ("max_output_tokens", 100),
+            ("temperature", 0.5),
+        )
+    ),
+    *(  # roles that no stage reads
+        pytest.param(set_role(role, "model_name", "another-model"), set(), id=role)
+        for role in ("fact_extractor", "fact_judge", "vision_captioner")
+    ),
+    pytest.param(
+        edit_bundle("transcript.txt", "garden looks great", "garden looks lovely"),
+        {"segment", "align", "spans", "summarize"} | FUSION,
+        id="transcript.txt",
+    ),
+    pytest.param(
+        edit_bundle("captions.srt", "Completely empty.", "Totally empty."),
+        {"align", "spans"},
+        id="captions.srt",
+    ),
+    pytest.param(
+        edit_bundle("captions.visual.json", "near a garden", "near a fountain"),
+        {"caption"} | FUSION,
+        id="captions.visual.json",
+    ),
+]
+
+
+@pytest.mark.parametrize(("change", "recomputed"), KEY_CHANGES)
+def test_a_changed_input_recomputes_exactly_the_stages_that_depend_on_it(
+    tmp_path, monkeypatch, change, recomputed
+):
+    bundle = reorderable_episode(tmp_path)
+    backends = build_uncached_backends()
+    config = PipelineConfig(backends=backends, out_dir=tmp_path / "out")
+    run_pipeline(load_episode(bundle), config)
+    out = tmp_path / "out" / "ep"
+    before = {p.name: p.stat() for p in out.iterdir()}
+
+    change(bundle, config)
+    episode = load_episode(bundle)
+    calls = backends.upstream_calls
+    computed = record_computes(monkeypatch)
+    artifacts = run_pipeline(episode, config)
+    assert set(computed) == recomputed
+    scenes = len(artifacts.partition.scenes)
+    assert backends.upstream_calls - calls == (
+        scenes * ("summarize" in recomputed) + ("fuse" in recomputed)
+    )
+    # os.replace gives a rewritten file a new inode
+    rewritten = {name for name, st in before.items() if (out / name).stat().st_ino != st.st_ino}
+    files = {pipeline.STAGES[key].file for key in recomputed}
+    assert rewritten == (files | {"stages.json"} if recomputed else set())
+
+    fresh = run_pipeline(episode, replace(config, out_dir=tmp_path / "fresh"))
+    assert replace(artifacts, out_dir=fresh.out_dir) == fresh
+    fresh_files = {p.name: p.read_bytes() for p in fresh.out_dir.iterdir()}
+    record = json.loads(fresh_files.pop("stages.json"))
+    assert {name: (out / name).read_bytes() for name in fresh_files} == fresh_files
+    reused = json.loads((out / "stages.json").read_text(encoding="utf-8"))
+    assert {name: reused[name] for name in record} == record
+
+
+def test_stage_reads_name_every_stage_its_compute_looks_up(tmp_path):
+    class LookupRecorder(pipeline.Run):
+        looked_up: set
+
+        def __getitem__(self, key):
+            self.looked_up.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.looked_up.add(key)
+            return super().get(key, default)
+
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run = LookupRecorder(standard_episode(tmp_path), config)
+    run.looked_up = set()
+    assert run.stages == list(pipeline.STAGES)
+    for key in run.stages:  # made up front, so a compute below makes no other stage
+        run[key]
+    for key, stage in pipeline.STAGES.items():
+        run.looked_up = set()
+        stage.compute(run)
+        assert run.looked_up == {read for read in stage.reads if read in pipeline.STAGES}, key
+
+
+def test_stages_json_does_not_depend_on_the_hash_seed(tmp_path):
+    episode = standard_episode(tmp_path)
+    env = dict(os.environ)
+    package_root = str(Path(pipeline.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    records = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out-{seed}"
+        subprocess.run(
+            [sys.executable, "-m", "scenefuse.cli", "--mock", "--episode",
+             str(tmp_path / "ep1"), "--out", str(out), "summarize"],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True,
+        )
+        records.append((out / episode.id / "stages.json").read_bytes())
+    assert records[0] == records[1]
+    assert sorted(json.loads(records[0])) == sorted(STAGE_FILES)
+
+
+def test_a_failed_run_records_the_stages_it_made(tmp_path, monkeypatch):
+    episode = standard_episode(tmp_path)
+    backends = build_uncached_backends()
+    fusion = backends.roles["fusion_summarizer"].client
+    working, fusion.transport = fusion.transport, MockTransport(lambda req: "   ")
+    config = PipelineConfig(backends=backends, out_dir=tmp_path / "out")
+    with pytest.raises(EmptyCompletion, match="^stage fuse: "):
+        run_pipeline(episode, config)
+    record = json.loads((tmp_path / "out" / "ep1" / "stages.json").read_text(encoding="utf-8"))
+    assert sorted(record) == sorted(STAGE_FILES[:-1])
+
+    fusion.transport = working
+    calls = backends.upstream_calls
+    computed = record_computes(monkeypatch)
+    run_pipeline(episode, config)
+    assert computed == ["fuse"]
+    assert backends.upstream_calls == calls + 1
+
+
+@pytest.mark.parametrize("name", ["order.json", "summary.txt", "stages.json"])
 def test_pipeline_with_nowhere_to_write_sends_no_request(tmp_path, name):
     episode = standard_episode(tmp_path)
     backends = build_uncached_backends()
@@ -592,7 +792,7 @@ def test_pipeline_that_computes_nothing_checks_nothing(tmp_path, monkeypatch):
     assert checked == []
     (tmp_path / "out" / "ep1" / "summary.txt").unlink()
     assert run_pipeline(episode, config) == cold
-    assert tuple(p.name for p in checked) == STAGE_FILES
+    assert tuple(p.name for p in checked) == STAGE_FILES + ("stages.json",)
 
 
 def test_pipeline_stage_errors_name_the_stage(tmp_path):

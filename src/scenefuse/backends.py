@@ -342,6 +342,54 @@ class BackendClient:
         )
 
 
+def fan_out(fn: Callable, items: Sequence, max_workers: int) -> list:
+    """``[fn(item) for item in items]`` with at most ``max_workers`` calls in flight.
+
+    The calling thread and ``min(max_workers, len(items)) - 1`` helper
+    threads each take the next index from one shared counter and store
+    the result by index, so results come back in item order, and no
+    thread waits on another's call. Once a call raises, or anything
+    escapes the caller's loop, no thread takes a new item: the calls
+    already running finish, the helpers are joined, and the exception
+    of the lowest failing index is raised. Every item before that index
+    has run to completion.
+    """
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken, stop = 0, False  # the next index to take; whether no thread may take one
+
+    def pull() -> None:
+        nonlocal taken, stop
+        while True:
+            with lock:
+                if stop or taken == len(items):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i], stop = exc, True
+                return
+
+    helpers = []  # the started ones
+    try:
+        for _ in range(min(max_workers, len(items)) - 1):
+            helper = threading.Thread(target=pull, daemon=True)
+            helper.start()
+            helpers.append(helper)
+        pull()
+    finally:
+        with lock:
+            stop = True
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def render_template(template: str, **variables: str) -> str:
     """Fill ``{name}`` markers literally; untouched text passes through."""
     out = template

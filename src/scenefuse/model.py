@@ -115,6 +115,7 @@ def parse_transcript(text: str) -> Transcript:
     breaks: list[int] = []
     warnings = 0
     canonical: dict[str, str] = {}
+    names: dict[str, str] = {}  # raw speaker prefix -> its name, "" for none
     for raw in text.splitlines():
         stripped = raw.strip()
         if not stripped:
@@ -123,9 +124,15 @@ def parse_transcript(text: str) -> Transcript:
             breaks.append(len(rows))
             continue
         match = _DIALOGUE_RE.match(stripped)
-        speaker = normalize_speaker(match.group(1)) if match else ""
-        if speaker:
-            name = canonical.setdefault(speaker.lower(), speaker)
+        name = ""
+        if match:
+            prefix = match.group(1)
+            name = names.get(prefix)
+            if name is None:
+                speaker = normalize_speaker(prefix)
+                name = canonical.setdefault(speaker.lower(), speaker) if speaker else ""
+                names[prefix] = name
+        if name:
             rows.append((name, match.group(2).strip(), []))
         elif rows:
             rows[-1][2].append(stripped)

@@ -5,6 +5,8 @@ alignment, then the per-scene time spans), caption, summarize, reorder,
 fuse-input, fuse; each entry holds the stage's file, compute, reads and
 JSON format. A Run gives each stage's value once, on first use, and a
 compute reads the values it needs from the run. The CLI views only compute.
+summarize sends one request per scene through backends.fan_out, with at
+most max_workers in flight on the calling thread and its helpers.
 
 run_pipeline also persists, by one rule: a stage file is reused only if
 its sha256 and its input key (of all the stage reads) match its entry in
@@ -22,7 +24,6 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -229,8 +230,7 @@ def _summarize(run: Run) -> list[str]:
         dialogue = [(ln.speaker, ln.text) for ln in lines[scene.start:scene.end]]
         return be.summarize_scene(dialogue, run.config.backends)
 
-    with ThreadPoolExecutor(max_workers=max(1, min(run.config.max_workers, len(scenes)))) as pool:
-        return list(pool.map(one, scenes))
+    return be.fan_out(one, scenes, run.config.max_workers)
 
 
 def _reorder(run: Run) -> SceneOrder:
@@ -377,7 +377,11 @@ def _input(run: Run, read: str) -> str:
         return "skipped"
     if read in be.ROLES:
         rt = run.config.backends.runtime(read)
-        return f"{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
+        text = f"{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
+        transport = rt.client.transport  # a mock's text starts with a quote, so never collides
+        if isinstance(transport, be.HttpTransport):
+            return f"endpoint {transport.endpoint!r}\n{text}"
+        return text
     if read == "transcript":  # 2m + 1 parts for m lines; a JSON encoding costs more
         lines = run.episode.transcript.lines
         parts = [ln.speaker for ln in lines] + [ln.text for ln in lines]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import backends as be
@@ -220,65 +220,75 @@ def _tally(
 def _score_directions(
     directions: Sequence[tuple[str, str, str]], backends: be.Backends, max_workers: int
 ) -> list[tuple[float, FactCounts, list[FactVerdict]]]:
-    """Score each (source text, knowledge text, origin) direction over one thread pool.
+    """Score each (source text, knowledge text, origin) direction in two fan-outs.
 
-    One extraction request per distinct sentence, across all directions,
-    is submitted first; then, once each direction's facts are filtered and
-    marked for duplicates, one judge request per distinct question left.
-    A question is the knowledge text, the fact text and the malformed
-    flag, so a malformed sentence never answers a real fact of the same
-    text. Every repeat of a question gets its verdict, with its own Fact.
-    No task waits on another, so the pool cannot deadlock. Verdicts and
-    the error raised first are those of scoring the directions one after
-    another. The pool starts at most one thread per submitted task, up to
-    ``max_workers``.
+    The first sends one extraction request per distinct sentence, across
+    all directions; then, once each direction's facts are filtered and
+    marked for duplicates, the second sends one judge request per
+    distinct question left. A question is the knowledge text, the fact
+    text and the malformed flag, so a malformed sentence never answers a
+    real fact of the same text. Every repeat of a question gets its
+    verdict, with its own Fact. Verdicts and the error raised first are
+    those of scoring the directions one after another: after a failed
+    extraction no other is sent, and the directions before the one it
+    fails are still judged. Each fan-out keeps at most ``max_workers``
+    requests in flight.
     """
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    sentences = [split_sentences(source) for source, _, _ in directions]
+    replies: dict[str, str] = {}
+    stopped: ScenefuseError | None = None
+
+    def extract(sentence: str) -> None:
+        replies[sentence] = backends.complete(be.FACT_EXTRACTOR, sentence=sentence)
+
+    try:
+        be.fan_out(extract, list(dict.fromkeys(itertools.chain(*sentences))), max_workers)
+    except ScenefuseError as exc:  # every sentence before the failing one has its reply
+        stopped = exc
+
+    def reply(sentence: str) -> str:
+        if sentence not in replies:
+            raise stopped
+        return replies[sentence]
+
+    screened = []
+    failure: ScenefuseError | None = None
+    for (_, _, origin), group in zip(directions, sentences):
         try:
-            sentences = [split_sentences(source) for source, _, _ in directions]
-            extractions = {
-                s: pool.submit(backends.complete, be.FACT_EXTRACTOR, sentence=s)
-                for s in dict.fromkeys(itertools.chain(*sentences))
-            }
-            screened = []
-            failure: ScenefuseError | None = None
-            for (_, _, origin), group in zip(directions, sentences):
-                try:
-                    facts = _read_facts(group, [extractions[s].result for s in group], origin)
-                    keep = [_passes_filter(f) for f in facts]
-                    survivors = [f for f, k in zip(facts, keep) if k]
-                    if not survivors:
-                        raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
-                except ScenefuseError as exc:
-                    # serially, the directions before this one are judged first
-                    failure = exc
-                    for future in extractions.values():
-                        future.cancel()
-                    break
-                screened.append((facts, keep, survivors, mark_duplicates(survivors)))
+            facts = _read_facts(group, [partial(reply, s) for s in group], origin)
+            keep = [_passes_filter(f) for f in facts]
+            survivors = [f for f, k in zip(facts, keep) if k]
+            if not survivors:
+                raise NoFactsAfterFiltering(f"no {origin} facts left after filtering")
+        except ScenefuseError as exc:
+            # serially, the directions before this one are judged first
+            failure = exc
+            break
+        screened.append((facts, keep, survivors, mark_duplicates(survivors)))
 
-            judged = {}
-            for (_, knowledge, _), (_, _, survivors, stubs) in zip(directions, screened):
-                for fact, stub in zip(survivors, stubs):
-                    key = (knowledge, fact.text, fact.malformed)
-                    if stub is None and key not in judged:
-                        judged[key] = pool.submit(judge_support, fact, knowledge, backends)
+    questions: dict[tuple[str, str, bool], Fact] = {}
+    for (_, knowledge, _), (_, _, survivors, stubs) in zip(directions, screened):
+        for fact, stub in zip(survivors, stubs):
+            if stub is None:
+                questions.setdefault((knowledge, fact.text, fact.malformed), fact)
+    asked = list(questions)
+    verdicts = be.fan_out(
+        lambda key: judge_support(questions[key], key[0], backends), asked, max_workers
+    )
+    judged = dict(zip(asked, verdicts))
 
-            results = []
-            for (_, knowledge, _), (facts, keep, survivors, stubs) in zip(directions, screened):
-                survivor_verdicts = []
-                for fact, stub in zip(survivors, stubs):
-                    if stub is None:
-                        v = judged[knowledge, fact.text, fact.malformed].result()
-                        stub = FactVerdict(fact, v.supported, v.reason)
-                    survivor_verdicts.append(stub)
-                results.append(_tally(facts, keep, survivor_verdicts))
-            if failure is not None:
-                raise failure
-            return results
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    results = []
+    for (_, knowledge, _), (facts, keep, survivors, stubs) in zip(directions, screened):
+        survivor_verdicts = []
+        for fact, stub in zip(survivors, stubs):
+            if stub is None:
+                v = judged[knowledge, fact.text, fact.malformed]
+                stub = FactVerdict(fact, v.supported, v.reason)
+            survivor_verdicts.append(stub)
+        results.append(_tally(facts, keep, survivor_verdicts))
+    if failure is not None:
+        raise failure
+    return results
 
 
 def score_direction(

@@ -28,6 +28,7 @@ from scenefuse.backends import (
     cache_key,
     caption_scene,
     default_mock_transport,
+    fan_out,
     fixture_transport,
     format_scene,
     render_template,
@@ -282,6 +283,109 @@ def test_rate_limiter_spaces_out_acquisitions():
         limiter.acquire()
     elapsed = time.monotonic() - started
     assert elapsed >= 0.039  # at least two full intervals
+
+
+class InFlight:
+    """Counts the calls of ``fn`` in flight, and the most at once."""
+
+    def __init__(self, fn, delay: float = 0.0):
+        self.fn, self.delay = fn, delay
+        self.now = self.peak = 0
+        self.ran: set = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, item):
+        with self._lock:
+            self.ran.add(item)
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            time.sleep(self.delay)
+            return self.fn(item)
+        finally:
+            with self._lock:
+                self.now -= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 50])
+def test_fan_out_returns_results_in_item_order(workers):
+    def square(i):
+        time.sleep(0.001 * (i % 3))  # so that later items can finish first
+        return i * i
+
+    assert fan_out(square, range(30), workers) == [i * i for i in range(30)]
+    assert fan_out(square, [], workers) == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_fan_out_keeps_max_workers_calls_in_flight(workers):
+    calls = InFlight(lambda i: i, delay=0.005)
+    fan_out(calls, range(24), workers)
+    assert calls.peak == workers
+
+
+def test_fan_out_runs_each_item_once_under_rapid_thread_switching():
+    # a lost update of the shared index would run an item twice or never
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = fan_out(lambda i: ran.append(i) or -i, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(3000))
+    assert results == [-i for i in range(3000)]
+
+
+@pytest.mark.parametrize(("workers", "items"), [(1, 5), (4, 1)])
+def test_fan_out_runs_on_the_calling_thread_alone(monkeypatch, workers, items):
+    monkeypatch.setattr(threading, "Thread", None)  # starting any thread fails
+    caller = threading.get_ident()
+    assert fan_out(lambda i: (i, threading.get_ident()), range(items), workers) == [
+        (i, caller) for i in range(items)
+    ]
+
+
+def test_fan_out_raises_the_lowest_failing_index_and_pulls_no_more():
+    raised = threading.Event()
+
+    def fn(i):
+        if i == 4:
+            raised.set()
+            raise KeyError("item 4")
+        if i in (2, 3):  # end once item 4's failure is recorded
+            assert raised.wait(5)
+            time.sleep(0.05)
+        if i == 2:
+            raise ValueError("item 2")
+        return i
+
+    calls = InFlight(fn)
+    with pytest.raises(ValueError, match="item 2"):
+        fan_out(calls, range(10), 3)
+    # three threads pull 0, 1 and 2; the two free ones pull 3 and 4
+    assert calls.ran == {0, 1, 2, 3, 4} and calls.now == 0
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_fan_out_stops_pulling_on_a_base_exception():
+    raised = threading.Event()
+
+    def fn(i):
+        if i == 1:
+            raised.set()
+            raise Interrupt
+        assert raised.wait(5)
+        time.sleep(0.05)  # long enough for the failure to be recorded
+        return i
+
+    calls = InFlight(fn)
+    with pytest.raises(Interrupt):
+        fan_out(calls, range(10), 2)
+    assert calls.ran == {0, 1} and calls.now == 0
 
 
 class _CannedHandler(BaseHTTPRequestHandler):

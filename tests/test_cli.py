@@ -429,7 +429,9 @@ def fresh_python(probe: str) -> str:
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize("name", ["scipy", "requests", "urllib3", "http", "numpy"])
+@pytest.mark.parametrize(
+    "name", ["scipy", "requests", "urllib3", "http", "numpy", "concurrent", "logging"]
+)
 def test_cli_import_loads_no(name):
     probe = (
         "import sys, scenefuse.cli; "

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +29,7 @@ from scenefuse.backends import (
     ROLES,
     BackendClient,
     Backends,
+    HttpTransport,
     MockTransport,
     RoleRuntime,
     default_mock_transport,
@@ -369,6 +372,19 @@ def test_stage_files_keep_their_bytes(tmp_path):
     assert digests == STAGE_SHA256
 
 
+def test_stages_json_keeps_its_bytes(tmp_path):
+    # the input keys too, so that an --out the mocks filled is still reused
+    episode = standard_episode(tmp_path)
+    config = PipelineConfig(
+        backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
+    )
+    run_pipeline(episode, config)
+    record = (tmp_path / "out" / "ep1" / "stages.json").read_bytes()
+    assert hashlib.sha256(record).hexdigest() == (
+        "b1b3845261ee5f73df1405dccb2fec875c42fc062c771a94f51cbdc5a9e5f12e"
+    )
+
+
 @pytest.mark.parametrize(
     "flags",
     [{}, {"uniform_chunks": True}, {"skip_reorder": True}, {"skip_vision": True}],
@@ -620,6 +636,20 @@ def set_role(role: str, field: str, value):
     return lambda bundle, config: setattr(config.backends.roles[role], field, value)
 
 
+class MockedEndpoint(HttpTransport):
+    """An endpoint's transport that answers as the role's mock, with no server behind it."""
+
+    def __init__(self, role: str):
+        super().__init__("http://127.0.0.1:9/v1")
+        self.send = default_mock_transport(role).send
+
+
+def set_endpoint(role: str):
+    return lambda bundle, config: setattr(
+        config.backends.roles[role].client, "transport", MockedEndpoint(role)
+    )
+
+
 AFTER_SEGMENT = {"segment", "spans", "caption", "summarize", "reorder", "fuse-input", "fuse"}
 FUSION = {"fuse-input", "fuse"}
 # one change to the inputs of a filled --out, and the stages it must
@@ -646,6 +676,10 @@ KEY_CHANGES = [
             ("max_output_tokens", 100),
             ("temperature", 0.5),
         )
+    ),
+    *(  # a mock run, then an endpoint run into the same --out
+        pytest.param(set_endpoint(role), {stage}, id=f"{role}-endpoint")
+        for role, stage in (("dialogue_summarizer", "summarize"), ("fusion_summarizer", "fuse"))
     ),
     *(  # roles that no stage reads
         pytest.param(set_role(role, "model_name", "another-model"), set(), id=role)
@@ -804,6 +838,35 @@ def test_pipeline_stage_errors_name_the_stage(tmp_path):
     config = PipelineConfig(backends=backends, out_dir=tmp_path / "out")
     with pytest.raises(EmptyCompletion, match="^stage summarize: "):
         run_pipeline(episode, config)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_summarize_keeps_up_to_max_workers_requests_in_flight(tmp_path, workers):
+    transcript = "\n[SCENE_BREAK]\n".join(
+        f"Nick: Scene {i} starts here.\nBrooke: And it ends." for i in range(8)
+    )
+    episode = load_episode(write_episode(tmp_path / "ep", transcript))
+    answer = default_mock_transport("dialogue_summarizer").send
+    lock = threading.Lock()
+    in_flight = peak = 0
+
+    def delayed(request):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        time.sleep(0.005)
+        with lock:
+            in_flight -= 1
+        return answer(request)
+
+    backends = build_uncached_backends()
+    backends.roles["dialogue_summarizer"].client.transport = MockTransport(delayed)
+    config = PipelineConfig(backends=backends, out_dir=tmp_path / "out", max_workers=workers)
+    summaries = pipeline.Run(episode, config)["summarize"]
+    assert 1 < peak <= workers
+    serial = pipeline.Run(episode, replace(config, max_workers=1))["summarize"]
+    assert summaries == serial and len(set(summaries)) == 8
 
 
 def test_pipeline_skip_vision_removes_captions(tmp_path):

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import (
@@ -231,6 +231,8 @@ class BackendClient:
     first lookup reads the whole log into a digest -> completion dict;
     a line that does not decode or lacks a string ``digest`` and
     ``completion`` is skipped, and a later record for a digest wins. A
+    record from an HttpTransport holds its ``endpoint``, and a client
+    reads only the records of its own ``endpoint`` (a mock's is none). A
     log that cannot be read or appended to is a ConfigError. The cache
     directory is created on the first write, so a client that never
     completes a request leaves none behind.
@@ -255,6 +257,11 @@ class BackendClient:
         self._completions: dict[str, str] | None = None
         self._cache_made = False
 
+    @property
+    def endpoint(self) -> str | None:
+        """The transport's endpoint if it is an HttpTransport, else None."""
+        return self.transport.endpoint if isinstance(self.transport, HttpTransport) else None
+
     def _cached(self) -> dict[str, str]:
         """The log's digest -> completion dict, read on the first call."""
         if self._completions is None:
@@ -272,13 +279,13 @@ class BackendClient:
             raise ConfigError(
                 f"cannot read completion log {self._log}: {exc.strerror or exc}"
             ) from exc
-        completions = {}
+        completions, endpoint = {}, self.endpoint
         for line in data.split(b"\n"):
             try:
                 record = json.loads(line)
             except ValueError:  # blank, torn, or not UTF-8
                 continue
-            if isinstance(record, dict):
+            if isinstance(record, dict) and record.get("endpoint") == endpoint:
                 digest, completion = record.get("digest"), record.get("completion")
                 if isinstance(digest, str) and isinstance(completion, str):
                     completions[digest] = completion
@@ -297,6 +304,8 @@ class BackendClient:
             "prompt": request.prompt,
             "completion": completion,
         }
+        if self.endpoint is not None:
+            record["endpoint"] = self.endpoint
         line = ("\n" + json.dumps(record, ensure_ascii=False)).encode("utf-8")
         try:
             fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -583,43 +592,70 @@ def caption_scene(
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
-ROLE_KEYS = (
-    "endpoint", "auth_env", "model_name", "prompt_template",
-    "rate_limit", "max_output_tokens", "temperature",
-)
+class Setting(NamedTuple):
+    """One config key: its JSON type, its value when absent, and its least value, if any."""
+
+    kind: type  # bool, int, float, str, dict, or Path: a file named relative to the config
+    default: Any = None
+    least: float | None = None
 
 
-def config_number(config: dict, key: str, default, kind: type):
-    """``kind(config[key])``, or ``default`` when absent.
+_JSON_TYPES = {  # each kind: the types of the JSON values it reads, and its name in errors
+    bool: (bool, "true or false"), int: (int, "an integer"), float: ((int, float), "a number"),
+    str: (str, "a string"), Path: (str, "a string"), dict: (dict, "an object"),
+}
 
-    The value must be a finite JSON number, and a JSON integer when
-    ``kind`` is int; anything else (NaN and Infinity too) is a ConfigError.
+
+def read_settings(
+    tree: dict, table: Mapping[str, Setting], base: Path, what: str = "config key"
+) -> dict:
+    """Each key of table, read from the JSON object tree: key -> value.
+
+    A key that table lacks, a value of the wrong JSON type and one below
+    its least are ConfigErrors; a number lies in a float's range, so NaN
+    and Infinity are refused. Absent, or null for a str or Path, reads as
+    the default, and so does an empty Path. what names a key in errors.
     """
-    value = config.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int if kind is int else (int, float))
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
-        wanted = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key!r} must be {wanted}, got {value!r}")
-    return kind(value)
+    unknown = set(tree) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {what}s: {sorted(unknown)}")
+    values = {}
+    for key, setting in table.items():
+        value = tree.get(key)
+        if value is None and (key not in tree or setting.kind in (str, Path)):
+            values[key] = setting.default
+            continue
+        types, wanted = _JSON_TYPES[setting.kind]
+        if (
+            isinstance(value, bool) != (setting.kind is bool)  # a bool is never a number
+            or not isinstance(value, types)
+            or setting.kind is float and not abs(value) <= sys.float_info.max  # NaN too
+        ):
+            raise ConfigError(f"{what} {key!r} must be {wanted}, got {value!r}")
+        if setting.least is not None and value < setting.least:
+            raise ConfigError(f"{what} {key!r} must be >= {setting.least}, got {value!r}")
+        if setting.kind is Path:
+            value = base / value if value else setting.default
+        values[key] = float(value) if setting.kind is float else value
+    return values
 
 
-def config_string(config: dict, key: str, default: str | None = None) -> str | None:
-    """``config[key]``, or ``default`` when absent or null; a non-string is a ConfigError."""
-    value = config.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-    return value
+# the top-level config keys that build_backends reads
+SETTINGS = {
+    "backends": Setting(dict, {}),  # role -> that role's ROLE_SETTINGS
+    "cache_dir": Setting(Path),
+    "mock_fixture": Setting(Path),
+}
 
-
-def config_path(config: dict, key: str, base: Path) -> Path | None:
-    """``base / config[key]``, or None when absent or empty; a non-string is a ConfigError."""
-    value = config_string(config, key)
-    return base / value if value else None
+ROLE_SETTINGS = {
+    "endpoint": Setting(str),
+    "auth_env": Setting(str),
+    "model_name": Setting(str, "default"),
+    "prompt_template": Setting(Path),
+    "rate_limit": Setting(float, 0.0, least=0),
+    "max_output_tokens": Setting(int, 512, least=1),
+    "temperature": Setting(float, 0.0),
+}
 
 
 def build_backends(
@@ -627,28 +663,24 @@ def build_backends(
     mock: bool = False,
     base_dir: str | Path | None = None,
 ) -> Backends:
-    """Assemble role runtimes from a config tree.
+    """Assemble role runtimes from a config tree of SETTINGS.
 
-    Per-role keys: ``ROLE_KEYS``; any other is a ConfigError. Top-level
-    keys: cache_dir, mock_fixture. ``mock=True`` (or a role without an
-    endpoint) selects the deterministic mock for that role; a
-    mock_fixture file overrides the extractor and judge mocks.
+    Each role's object under "backends" holds ROLE_SETTINGS. ``mock=True``
+    (or a role without an endpoint) selects the deterministic mock for
+    that role; a mock_fixture file overrides the extractor and judge mocks.
     """
-    config = config or {}
     base = Path(base_dir) if base_dir else Path.cwd()
-    role_configs = config.get("backends", {})
-    if not isinstance(role_configs, dict):
-        raise ConfigError("config key 'backends' must be an object")
-    unknown = set(role_configs) - set(ROLES)
-    if unknown:
-        raise ConfigError(f"unknown backend roles in config: {sorted(unknown)}")
+    settings = read_settings(config or {}, SETTINGS, base)
+    role_configs = read_settings(
+        settings["backends"], dict.fromkeys(ROLES, Setting(dict, {})), base, "backend role"
+    )
 
-    cache_root = config_path(config, "cache_dir", base)
+    cache_root = settings["cache_dir"]
     if cache_root and cache_root.exists() and not cache_root.is_dir():
         raise ConfigError(f"cache_dir {cache_root} is not a directory")
 
     fixture = None
-    fixture_path = config_path(config, "mock_fixture", base)
+    fixture_path = settings["mock_fixture"]
     if fixture_path:
         fixture = read_json(fixture_path, ConfigError, "mock_fixture")
         if not isinstance(fixture, dict):
@@ -656,47 +688,32 @@ def build_backends(
 
     backends = Backends()
     for role in ROLES:
-        role_cfg = role_configs.get(role, {})
-        if not isinstance(role_cfg, dict):
-            raise ConfigError(f"backend config for {role!r} must be an object")
-        unknown = set(role_cfg) - set(ROLE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown backend config keys for {role!r}: {sorted(unknown)}")
-        endpoint = config_string(role_cfg, "endpoint")
+        role_cfg = read_settings(role_configs[role], ROLE_SETTINGS, base, f"{role} config key")
+        endpoint = role_cfg["endpoint"]
         if endpoint:
             parse_endpoint(endpoint)  # refused under --mock too
-        auth_env = config_string(role_cfg, "auth_env")
-        use_mock = mock or not endpoint
-        if use_mock:
+        if mock or not endpoint:
             if fixture is not None and role in (FACT_EXTRACTOR, FACT_JUDGE):
                 transport = fixture_transport(fixture)
             else:
                 transport = default_mock_transport(role)
         else:
-            transport = HttpTransport(endpoint, auth_env)
-        template_path = config_path(role_cfg, "prompt_template", base)
+            transport = HttpTransport(endpoint, role_cfg["auth_env"])
+        template_path = role_cfg["prompt_template"]
         if template_path:
             template = read_text(template_path, ConfigError, "prompt_template")
         else:
             template = default_template(role)
-        rate_limit = config_number(role_cfg, "rate_limit", 0.0, float)
-        if rate_limit < 0:
-            raise ConfigError(f"rate_limit for {role!r} must be >= 0, got {rate_limit}")
-        max_output_tokens = config_number(role_cfg, "max_output_tokens", 512, int)
-        if max_output_tokens < 1:
-            raise ConfigError(
-                f"max_output_tokens for {role!r} must be >= 1, got {max_output_tokens}"
-            )
         client = BackendClient(
             transport,
             cache_dir=cache_root / role if cache_root else None,
-            rate_limit=rate_limit,
+            rate_limit=role_cfg["rate_limit"],
         )
         backends.roles[role] = RoleRuntime(
             client=client,
             template=template,
-            model_name=config_string(role_cfg, "model_name", "default"),
-            max_output_tokens=max_output_tokens,
-            temperature=config_number(role_cfg, "temperature", 0.0, float),
+            model_name=role_cfg["model_name"],
+            max_output_tokens=role_cfg["max_output_tokens"],
+            temperature=role_cfg["temperature"],
         )
     return backends

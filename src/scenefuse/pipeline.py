@@ -80,41 +80,34 @@ class EpisodeArtifacts:
     out_dir: Path
 
 
-def _flag(raw: dict, key: str) -> bool:
-    """A JSON true/false config value, False when absent; anything else is a ConfigError."""
-    value = raw.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-    return value
+# the top-level config keys that config_from_dict reads beside be.SETTINGS,
+# each named after the PipelineConfig field it sets (lexicon: the file)
+SETTINGS = {
+    "context_budget": be.Setting(int, PipelineConfig.context_budget),
+    "skip_reorder": be.Setting(bool, False),
+    "skip_vision": be.Setting(bool, False),
+    "skip_transcript": be.Setting(bool, False),
+    "uniform_chunks": be.Setting(bool, False),
+    "max_workers": be.Setting(int, PipelineConfig.max_workers),
+    "lexicon": be.Setting(Path),
+}
 
 
 def config_from_dict(
     raw: dict, base_dir: str | Path, out_dir: str | Path, mock: bool = False
 ) -> PipelineConfig:
-    """Build a PipelineConfig from a parsed JSON config tree."""
+    """Build a PipelineConfig from a parsed JSON config tree of SETTINGS and be.SETTINGS."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "backends", "cache_dir", "mock_fixture", "context_budget",
-        "skip_reorder", "skip_vision", "skip_transcript", "uniform_chunks",
-        "max_workers", "lexicon",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base = Path(base_dir)
-    lexicon_path = be.config_path(raw, "lexicon", base)
-    return PipelineConfig(
-        backends=be.build_backends(raw, mock=mock, base_dir=base),
-        out_dir=Path(out_dir),
-        context_budget=be.config_number(raw, "context_budget", PipelineConfig.context_budget, int),
-        skip_reorder=_flag(raw, "skip_reorder"),
-        skip_vision=_flag(raw, "skip_vision"),
-        skip_transcript=_flag(raw, "skip_transcript"),
-        uniform_chunks=_flag(raw, "uniform_chunks"),
-        max_workers=be.config_number(raw, "max_workers", PipelineConfig.max_workers, int),
-        lexicon=load_lexicon(lexicon_path),
+    settings = be.read_settings(
+        {key: value for key, value in raw.items() if key not in be.SETTINGS}, SETTINGS, base
     )
+    backends = be.build_backends(
+        {key: value for key, value in raw.items() if key in be.SETTINGS}, mock=mock, base_dir=base
+    )
+    settings["lexicon"] = load_lexicon(settings["lexicon"])
+    return PipelineConfig(backends=backends, out_dir=Path(out_dir), **settings)
 
 
 def _tokens(text: str) -> int:
@@ -378,9 +371,8 @@ def _input(run: Run, read: str) -> str:
     if read in be.ROLES:
         rt = run.config.backends.runtime(read)
         text = f"{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
-        transport = rt.client.transport  # a mock's text starts with a quote, so never collides
-        if isinstance(transport, be.HttpTransport):
-            return f"endpoint {transport.endpoint!r}\n{text}"
+        if rt.client.endpoint is not None:  # a mock's text starts with a quote, so never collides
+            return f"endpoint {rt.client.endpoint!r}\n{text}"
         return text
     if read == "transcript":  # 2m + 1 parts for m lines; a JSON encoding costs more
         lines = run.episode.transcript.lines

@@ -80,27 +80,23 @@ class _Tables:
     """Lookup tables indexed by a span's distinct-speaker count n.
 
     Slot 0 is never a real span; it keeps index arithmetic in range.
-    n_cast is the transcript's own speaker count, at most n_total, and
-    reach is PELT's K: twice the largest C(N, n) for n <= n_cast.
+    n_total is the transcript's speaker count N, and reach is PELT's K:
+    twice the largest C(N, n).
     """
 
     n_total: int
-    n_cast: int
     cb: tuple[float, ...]
     lg: tuple[float, ...]
     reach: float
 
 
-def _tables(transcript: Transcript, n_speakers: int | None) -> _Tables:
-    observed = len({line.speaker for line in transcript.lines})
-    n_total = observed if n_speakers is None else n_speakers
-    if n_total < observed:
-        raise InvalidCount(f"N={n_total} below observed speaker count {observed}")
+def _tables(transcript: Transcript) -> _Tables:
+    n_total = len({line.speaker for line in transcript.lines})
     cb = (0.0, *(codebook_cost(n_total, n) for n in range(1, n_total + 1)))
     lg = (0.0, *(math.log2(n) for n in range(1, n_total + 1)))
     # C(N, n) peaks at n = N // 2; one log2 of an exact int, within an ulp
-    reach = 2 * math.log2(math.comb(n_total, min(observed, n_total // 2)))
-    return _Tables(n_total, observed, cb, lg, reach)
+    reach = 2 * math.log2(math.comb(n_total, n_total // 2))
+    return _Tables(n_total, cb, lg, reach)
 
 
 def _exact(tables: _Tables, n: int, length: int) -> int:
@@ -130,9 +126,7 @@ def _breaks_ending_at(back: list[int], j: int) -> tuple[int, ...]:
     return tuple(reversed(breaks))
 
 
-def optimal_partition(
-    transcript: Transcript, n_speakers: int | None = None
-) -> Partition:
+def optimal_partition(transcript: Transcript) -> Partition:
     """Globally cheapest partition of the transcript into scenes.
 
     best[j] holds the float cost of the chosen encoding of lines [0, j);
@@ -148,7 +142,7 @@ def optimal_partition(
     """
     if not transcript.lines:
         raise EmptyTranscript("cannot partition an empty transcript")
-    tables = _tables(transcript, n_speakers)
+    tables = _tables(transcript)
     cb, lg = tables.cb, tables.lg
     screen = _SCREEN_ULPS * (len(transcript.lines) + 8) * 2.0**-53
 
@@ -207,7 +201,7 @@ def optimal_partition(
         bound += bound * screen
         keep = [k for k, c in enumerate(cand) if c <= bound]
         full = 0  # all-cast starts lead, as counts do not increase
-        while full < len(keep) and counts[keep[full]] == tables.n_cast:
+        while full < len(keep) and counts[keep[full]] == tables.n_total:
             full += 1
         if full > 1:
             keep[:full] = [pick(keep[:full], j)]
@@ -220,9 +214,7 @@ def optimal_partition(
 
 
 def partition_from_breaks(
-    transcript: Transcript,
-    breaks: tuple[int, ...] | list[int],
-    n_speakers: int | None = None,
+    transcript: Transcript, breaks: tuple[int, ...] | list[int]
 ) -> Partition:
     """Partition induced by fixed break positions, costed for reporting."""
     m = len(transcript.lines)
@@ -231,17 +223,15 @@ def partition_from_breaks(
     ordered = tuple(sorted(set(breaks)))
     if ordered and not (ordered[0] >= 1 and ordered[-1] <= m - 1):
         raise InvalidCount(f"break positions {ordered} outside [1, {m - 1}]")
-    scenes = _scenes(transcript, _tables(transcript, n_speakers), ordered)
+    scenes = _scenes(transcript, _tables(transcript), ordered)
     total = 0.0
     for scene in scenes:
         total += scene.cost_bits
     return Partition(scenes, total)
 
 
-def effective_partition(
-    transcript: Transcript, n_speakers: int | None = None
-) -> Partition:
+def effective_partition(transcript: Transcript) -> Partition:
     """Explicit break markers win; otherwise search for the optimum."""
     if transcript.explicit_breaks:
-        return partition_from_breaks(transcript, transcript.explicit_breaks, n_speakers)
-    return optimal_partition(transcript, n_speakers)
+        return partition_from_breaks(transcript, transcript.explicit_breaks)
+    return optimal_partition(transcript)

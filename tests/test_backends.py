@@ -219,6 +219,29 @@ def test_two_clients_append_to_one_log(tmp_path):
     assert fresh.calls == 0
 
 
+def test_a_client_serves_only_the_records_of_its_own_endpoint(tmp_path):
+    def endpoint(url: str, reply: str) -> HttpTransport:
+        transport = HttpTransport(url)
+        transport.send = lambda req: reply  # no server behind it
+        return transport
+
+    BackendClient(MockTransport(lambda req: "mock"), cache_dir=tmp_path).complete(request())
+    BackendClient(endpoint("http://127.0.0.1:9/a", "from a"), cache_dir=tmp_path).complete(
+        request()
+    )
+    mock_record, a_record = log_records(tmp_path)
+    assert sorted(mock_record) == ["completion", "digest", "model_name", "prompt", "role"]
+    assert a_record == {**mock_record, "completion": "from a", "endpoint": "http://127.0.0.1:9/a"}
+    for transport, reply, calls in [
+        (MockTransport(lambda req: "unused"), "mock", 0),
+        (endpoint("http://127.0.0.1:9/a", "unused"), "from a", 0),
+        (endpoint("http://127.0.0.1:9/b", "from b"), "from b", 1),
+    ]:
+        client = BackendClient(transport, cache_dir=tmp_path)
+        assert client.complete(request()) == reply
+        assert client.calls == calls
+
+
 def test_a_log_that_cannot_be_read_or_appended_is_a_config_error(tmp_path):
     (tmp_path / "completions.jsonl").mkdir()
     client = BackendClient(FlakyTransport(0), cache_dir=tmp_path)

@@ -418,6 +418,22 @@ def test_mock_flag_overrides_configured_endpoints(capsys, tmp_path, episode_dir)
     assert out.startswith("Episode recap:")
 
 
+def test_an_endpoint_never_reads_what_a_mock_cached(capsys, tmp_path, episode_dir):
+    # nothing listens on the discard port, so only a completion served
+    # from the shared cache could let the second run succeed
+    dead = {"endpoint": "http://127.0.0.1:9/x"}
+    roles = {"dialogue_summarizer": dead, "fusion_summarizer": dead}
+    config = write_config(tmp_path, {"cache_dir": "cache", "backends": roles})
+    common = (*config, "--episode", episode_dir)
+    code, out, err = run(capsys, *common, "--out", tmp_path / "mock-out", "--mock", "summarize")
+    assert code == 0, err
+    assert out.startswith("Episode recap:")
+    code, out, err = run(capsys, *common, "--out", tmp_path / "live-out", "summarize")
+    assert code == 3, out
+    assert out == ""
+    assert err.startswith("backend error: stage summarize: ")
+
+
 def fresh_python(probe: str) -> str:
     """stdout of probe run in a new interpreter, so no other test's imports hide a load."""
     env = dict(os.environ)

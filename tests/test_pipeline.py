@@ -23,6 +23,7 @@ from conftest import (
     make_transcript,
     write_episode,
 )
+from scenefuse import backends as be
 from scenefuse import pipeline
 from scenefuse.alignment import TimeSpan
 from scenefuse.backends import (
@@ -956,6 +957,45 @@ def test_config_from_dict_applies_settings(tmp_path):
     assert config.skip_vision is True
     assert config.uniform_chunks is True
     assert config.out_dir == tmp_path / "out"
+
+
+# JSON values of each type but the one a setting's kind reads
+WRONG_TYPED = {
+    bool: [None, 0, 1, "true", [], {}],
+    int: [None, True, 1.5, "1", [], {}],
+    float: [None, True, "1", float("nan"), float("-inf"), 10**400, [], {}],  # 10**400 overflows
+    str: [True, 5, [], {}],
+    Path: [True, 5, [], {}],
+    dict: [None, True, "x", []],
+}
+
+
+@pytest.mark.parametrize(
+    ("level", "key", "setting"),
+    [
+        pytest.param(level, key, setting, id=f"{level}-{key}")
+        for level, table in (
+            ("top", pipeline.SETTINGS), ("top", be.SETTINGS), ("role", be.ROLE_SETTINGS)
+        )
+        for key, setting in table.items()
+    ],
+)
+def test_every_setting_refuses_a_wrong_type_and_a_value_below_its_least(
+    tmp_path, level, key, setting
+):
+    def read(value):
+        raw = {key: value} if level == "top" else {"backends": {be.FACT_JUDGE: {key: value}}}
+        return config_from_dict(raw, tmp_path, tmp_path / "out", mock=True)
+
+    refused = list(WRONG_TYPED[setting.kind])
+    if setting.least is not None:
+        refused.append(setting.least - (1 if setting.kind is int else 0.5))
+        read(setting.least)  # the least itself is accepted
+    for value in refused:
+        with pytest.raises(ConfigError, match=repr(key)):
+            read(value)
+    if setting.kind in (str, Path):
+        read(None)  # null means absent
 
 
 def test_pipeline_config_validates_budget(tmp_path):

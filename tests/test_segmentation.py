@@ -40,7 +40,7 @@ class SpanCosts(NamedTuple):
     costs: np.ndarray
 
 
-def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCosts:
+def span_costs(transcript: Transcript) -> SpanCosts:
     """Every span's count and cost, stacked as the DP never does.
 
     Column j holds the spans [i, j). cnt[i] is the distinct-speaker
@@ -48,7 +48,7 @@ def span_costs(transcript: Transcript, n_speakers: int | None = None) -> SpanCos
     starting after that speaker's previous line p (p = -1 if none), so
     one slice increment advances the column.
     """
-    tables = _tables(transcript, n_speakers)
+    tables = _tables(transcript)
     cb, lg = np.array(tables.cb), np.array(tables.lg)
     m = len(transcript.lines)
     counts = np.zeros((m + 1, m + 1), np.int64)
@@ -109,7 +109,7 @@ def exact_key(transcript, breaks, n_total: int):
     return product, len(bounds) - 1, tuple(breaks)
 
 
-def brute_force_partition(transcript, n_speakers=None):
+def brute_force_partition(transcript):
     """Exhaustive minimum over all contiguous partitions (oracle).
 
     Ranks every partition by exact_key, as optimal_partition ranks its
@@ -120,18 +120,18 @@ def brute_force_partition(transcript, n_speakers=None):
     if m == 0:
         raise EmptyTranscript("cannot partition an empty transcript")
     assert m <= 18, f"{m} lines are too many to enumerate"
-    n_total = len(transcript.roster) if n_speakers is None else n_speakers
+    n_total = len(transcript.roster)
     best = min(exact_key(transcript, breaks, n_total) for breaks in enumerate_breaks(m))
-    return partition_from_breaks(transcript, best[2], n_speakers)
+    return partition_from_breaks(transcript, best[2])
 
 
-def reference_dp(transcript, n_speakers=None):
+def reference_dp(transcript):
     """The prefix DP as a double loop over the dense span matrices.
 
     Each prefix keeps the path of least exact key and that path's float
     fold of the span costs.
     """
-    table = span_costs(transcript, n_speakers)
+    table = span_costs(transcript)
     costs, counts = table.costs, table.counts
     m = len(transcript.lines)
 
@@ -214,13 +214,6 @@ def test_span_costs_counts_and_costs_match_direct_evaluation():
                 )
 
 
-def test_span_costs_speaker_count_injection():
-    t = make_transcript(["Alice", "Alice", "Bob"])
-    assert span_costs(t, n_speakers=5).n_total == 5
-    with pytest.raises(InvalidCount):
-        span_costs(t, n_speakers=1)
-
-
 def test_optimal_matches_brute_force_exactly():
     rng = random.Random(11)
     for _ in range(150):
@@ -283,13 +276,6 @@ def test_exact_description_length_decides_ties_among_five_or_more_names():
         t = make_transcript([rng.choice(names) for _ in range(rng.randint(1, 10))])
         dp, bf = optimal_partition(t), brute_force_partition(t)
         assert (dp.breaks, dp.total_cost) == (bf.breaks, bf.total_cost)
-
-
-def test_single_speaker_with_injected_roster_stays_whole():
-    t = make_transcript(["Alice"] * 4)
-    part = optimal_partition(t, n_speakers=2)
-    assert part.breaks == ()
-    assert part.total_cost == 1.0
 
 
 def test_partition_shape_and_reported_costs():
@@ -363,9 +349,8 @@ def test_optimal_matches_reference_double_loop_bitwise(seed):
     for _ in range(8):
         m = rng.randint(20, 300)
         t = random_transcript(rng, m, rng.randint(1, 3))
-        n_speakers = rng.choice([None, len(t.roster) + rng.randint(0, 3)])
-        breaks, scene_costs, total = reference_dp(t, n_speakers)
-        part = optimal_partition(t, n_speakers)
+        breaks, scene_costs, total = reference_dp(t)
+        part = optimal_partition(t)
         assert part.breaks == breaks
         assert [s.cost_bits for s in part.scenes] == scene_costs
         assert part.total_cost.hex() == total.hex()
@@ -385,10 +370,9 @@ def test_exact_ties_across_scene_counts_prefer_fewer_scenes():
     # every three-speaker transcript of six lines, where such ties abound
     for names in itertools.product("ABC", repeat=6):
         t = make_transcript(list(names))
-        for n_speakers in (None, 4):
-            breaks, _, total = reference_dp(t, n_speakers)
-            part = optimal_partition(t, n_speakers)
-            assert (part.breaks, part.total_cost) == (breaks, total)
+        breaks, _, total = reference_dp(t)
+        part = optimal_partition(t)
+        assert (part.breaks, part.total_cost) == (breaks, total)
 
 
 def test_partition_from_breaks_costs_match_the_span_matrix():
@@ -396,10 +380,9 @@ def test_partition_from_breaks_costs_match_the_span_matrix():
     for _ in range(30):
         m = rng.randint(1, 80)
         t = random_transcript(rng, m, rng.randint(1, 4))
-        n_speakers = rng.choice([None, len(t.roster) + 2])
         breaks = sorted(rng.sample(range(1, m), rng.randint(0, m - 1))) if m > 1 else []
-        part = partition_from_breaks(t, breaks, n_speakers)
-        costs = span_costs(t, n_speakers).costs
+        part = partition_from_breaks(t, breaks)
+        costs = span_costs(t).costs
         bounds = [0, *breaks, m]
         expected = [float(costs[a, b]) for a, b in zip(bounds, bounds[1:])]
         assert [s.cost_bits for s in part.scenes] == expected
@@ -414,9 +397,8 @@ def test_dp_scene_costs_are_span_table_cells():
     for _ in range(20):
         m = rng.randint(1, 120)
         t = random_transcript(rng, m, rng.randint(1, 4))
-        n_speakers = rng.choice([None, len(t.roster) + 1])
-        table = span_costs(t, n_speakers)
-        for scene in optimal_partition(t, n_speakers).scenes:
+        table = span_costs(t)
+        for scene in optimal_partition(t).scenes:
             assert table.counts[scene.start, scene.end] == scene.n_speakers
             assert scene.cost_bits.hex() == float(table.costs[scene.start, scene.end]).hex()
 

@@ -51,6 +51,7 @@ ROLES = (
 
 MALFORMED_SIGNAL = "MALFORMED"
 CACHE_LOG = "completions.jsonl"
+MAX_RATE_INTERVAL_S = 3600.0  # a positive rate_limit may space requests at most this far
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ class RateLimiter:
 class MockTransport:
     """Deterministic in-process transport: ``respond(request)`` is the completion."""
 
-    def __init__(self, respond: Callable[[BackendRequest], str]):
-        self.respond = respond
+    def __init__(self, respond: Callable[[BackendRequest], str], source: dict | None = None):
+        self.respond, self.source = respond, source or {}
 
     def send(self, request: BackendRequest) -> str:
         return self.respond(request)
@@ -138,6 +139,7 @@ class HttpTransport:
         import http.client  # only a run with an endpoint pays for the import
 
         self.endpoint = endpoint
+        self.source = {"endpoint": endpoint}
         self.auth_env = auth_env
         self.timeout = timeout
         url = parse_endpoint(endpoint)
@@ -231,11 +233,11 @@ class BackendClient:
     first lookup reads the whole log into a digest -> completion dict;
     a line that does not decode or lacks a string ``digest`` and
     ``completion`` is skipped, and a later record for a digest wins. A
-    record from an HttpTransport holds its ``endpoint``, and a client
-    reads only the records of its own ``endpoint`` (a mock's is none). A
-    log that cannot be read or appended to is a ConfigError. The cache
-    directory is created on the first write, so a client that never
-    completes a request leaves none behind.
+    record holds the fields of its client's ``source``, and a client reads
+    only the records of its own source. A log that cannot be read or
+    appended to is a ConfigError. The cache directory is created on the
+    first write, so a client that never completes a request leaves none
+    behind.
     """
 
     def __init__(
@@ -258,9 +260,9 @@ class BackendClient:
         self._cache_made = False
 
     @property
-    def endpoint(self) -> str | None:
-        """The transport's endpoint if it is an HttpTransport, else None."""
-        return self.transport.endpoint if isinstance(self.transport, HttpTransport) else None
+    def source(self) -> dict[str, str]:
+        """The transport's ``source``; ``{}`` for a default mock and a transport without one."""
+        return getattr(self.transport, "source", {})
 
     def _cached(self) -> dict[str, str]:
         """The log's digest -> completion dict, read on the first call."""
@@ -279,13 +281,15 @@ class BackendClient:
             raise ConfigError(
                 f"cannot read completion log {self._log}: {exc.strerror or exc}"
             ) from exc
-        completions, endpoint = {}, self.endpoint
+        completions, source = {}, self.source
         for line in data.split(b"\n"):
             try:
                 record = json.loads(line)
             except ValueError:  # blank, torn, or not UTF-8
                 continue
-            if isinstance(record, dict) and record.get("endpoint") == endpoint:
+            if isinstance(record, dict) and all(
+                record.get(k) == source.get(k) for k in ("endpoint", "mock_fixture")
+            ):
                 digest, completion = record.get("digest"), record.get("completion")
                 if isinstance(digest, str) and isinstance(completion, str):
                     completions[digest] = completion
@@ -303,9 +307,8 @@ class BackendClient:
             "model_name": request.model_name,
             "prompt": request.prompt,
             "completion": completion,
+            **self.source,
         }
-        if self.endpoint is not None:
-            record["endpoint"] = self.endpoint
         line = ("\n" + json.dumps(record, ensure_ascii=False)).encode("utf-8")
         try:
             fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -416,6 +419,12 @@ class RoleRuntime:
     temperature: float = 0.0
 
 
+def role_identity(rt: RoleRuntime) -> str:
+    """Source lines (none for a default mock), then all else a role's completions depend on."""
+    source = "".join(f"{key} {value!r}\n" for key, value in rt.client.source.items())
+    return f"{source}{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
+
+
 @dataclass
 class Backends:
     """Role -> runtime map used by every pipeline stage."""
@@ -524,6 +533,7 @@ def fixture_transport(fixture: dict) -> MockTransport:
     Fixture shape: {"extractions": {sentence -> [facts] | "MALFORMED"},
     "verdicts": {fact -> true|false}}. Sentences and facts are matched
     after whitespace normalization. Any other shape is a ConfigError.
+    The transport's source is the sha256 of the fixture's sorted JSON.
     """
     extractions = fixture.get("extractions", {})
     verdicts = fixture.get("verdicts", {})
@@ -539,6 +549,7 @@ def fixture_transport(fixture: dict) -> MockTransport:
             )
     if not all(isinstance(verdict, bool) for verdict in verdicts.values()):
         raise ConfigError("mock_fixture verdicts must be true or false")
+    content = json.dumps(fixture, sort_keys=True).encode("utf-8")
     extractions = {" ".join(k.split()): v for k, v in extractions.items()}
     verdicts = {normalize_fact(k): v for k, v in verdicts.items()}
 
@@ -551,7 +562,7 @@ def fixture_transport(fixture: dict) -> MockTransport:
         value = extractions[sentence]
         return value if value == MALFORMED_SIGNAL else "\n".join(value)
 
-    return MockTransport(handler)
+    return MockTransport(handler, {"mock_fixture": hashlib.sha256(content).hexdigest()})
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +700,12 @@ def build_backends(
     backends = Backends()
     for role in ROLES:
         role_cfg = read_settings(role_configs[role], ROLE_SETTINGS, base, f"{role} config key")
-        endpoint = role_cfg["endpoint"]
+        endpoint, rate = role_cfg["endpoint"], role_cfg["rate_limit"]
         if endpoint:
             parse_endpoint(endpoint)  # refused under --mock too
+        if 0 < rate < 1 / MAX_RATE_INTERVAL_S:  # 1e-320 would sleep past time_t's range
+            raise ConfigError(f"{role} config key 'rate_limit' must be 0 or at least one request"
+                              f" per {MAX_RATE_INTERVAL_S:g} s, got {rate!r}")
         if mock or not endpoint:
             if fixture is not None and role in (FACT_EXTRACTOR, FACT_JUDGE):
                 transport = fixture_transport(fixture)
@@ -707,7 +721,7 @@ def build_backends(
         client = BackendClient(
             transport,
             cache_dir=cache_root / role if cache_root else None,
-            rate_limit=role_cfg["rate_limit"],
+            rate_limit=rate,
         )
         backends.roles[role] = RoleRuntime(
             client=client,

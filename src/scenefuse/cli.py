@@ -5,9 +5,9 @@ evaluate, stats scene-split, stats welch. The first four are views over
 the pipeline's stage table: each computes its stages in a Run without
 persistence, under the --config that summarize would use, and prints
 what summarize writes to the stage's file (align prints the alignment
-and the spans file in one object). summarize persists every stage under
---out and prints the summary; evaluate prints the PREFS report. Exit
-codes: 0 success, 2 config error, 3 backend error, 4 data error.
+and the spans file in one object). summarize persists its stages under
+--out and prints the summary; evaluate persists prefs and prints it.
+Exit codes: 0 success, 2 config error, 3 backend error, 4 data error.
 The stats commands import their NumPy module when they run, so the
 other commands start without it.
 """
@@ -21,9 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import BackendError, ConfigError, DataError, read_json, read_text
 from .model import Episode, load_episode
-from .pipeline import (
-    PipelineConfig, Run, config_from_dict, dumps, read_summary, run_eval, run_pipeline
-)
+from .pipeline import PipelineConfig, Run, config_from_dict, dumps, run_eval, run_pipeline
 from .segmentation import optimal_partition
 
 DEFAULT_OUT = "scenefuse-out"
@@ -93,10 +91,9 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     episode = _episode(args)
     config = _pipeline_config(args)
+    summary = None  # the persisted one
     if args.summary_file:
         summary = read_text(Path(args.summary_file), ConfigError, "--summary-file").strip()
-    else:
-        summary = read_summary(episode, config)
     try:
         report = run_eval(episode, summary, config)
     finally:

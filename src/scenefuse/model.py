@@ -1,8 +1,8 @@
 """Domain types for transcripts, captions, scenes, and episodes.
 
 Parsers are deliberately tolerant: fan transcripts are messy, so lines
-that do not parse are skipped or attached as annotations with a counted
-warning rather than raised as errors.
+that do not parse are skipped with a counted warning rather than raised
+as errors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class TranscriptLine:
     index: int
     speaker: str
     text: str
-    annotations: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,11 @@ def parse_transcript(text: str) -> Transcript:
     """Parse ``Name: utterance`` lines into a Transcript.
 
     ``[SCENE_BREAK]`` marker lines record explicit breaks. Lines without
-    a speaker prefix are stage directions: they attach as annotations to
-    the preceding dialogue line, or are skipped (counted) before the
-    first one. Speaker names compare case-insensitively; the first-seen
+    a speaker prefix are stage directions, skipped and counted in
+    warnings. Speaker names compare case-insensitively; the first-seen
     casing is kept.
     """
-    rows: list[tuple[str, str, list[str]]] = []
+    rows: list[tuple[str, str]] = []
     breaks: list[int] = []
     warnings = 0
     canonical: dict[str, str] = {}
@@ -133,17 +131,12 @@ def parse_transcript(text: str) -> Transcript:
                 name = canonical.setdefault(speaker.lower(), speaker) if speaker else ""
                 names[prefix] = name
         if name:
-            rows.append((name, match.group(2).strip(), []))
-        elif rows:
-            rows[-1][2].append(stripped)
+            rows.append((name, match.group(2).strip()))
         else:
             warnings += 1
     if not rows:
         raise EmptyTranscript("no dialogue line parsed")
-    lines = tuple(
-        TranscriptLine(i, speaker, utterance, tuple(anns))
-        for i, (speaker, utterance, anns) in enumerate(rows)
-    )
+    lines = tuple(TranscriptLine(i, *row) for i, row in enumerate(rows))
     valid = sorted({b for b in breaks if 1 <= b <= len(lines) - 1})
     return Transcript(lines, tuple(valid), warnings)
 

@@ -2,19 +2,20 @@
 
 STAGES declares each stage once, in pipeline order: segment, align (the
 alignment, then the per-scene time spans), caption, summarize, reorder,
-fuse-input, fuse; each entry holds the stage's file, compute, reads and
-JSON format. A Run gives each stage's value once, on first use, and a
-compute reads the values it needs from the run. The CLI views only compute.
-summarize sends one request per scene through backends.fan_out, with at
-most max_workers in flight on the calling thread and its helpers.
+fuse-input, fuse, and prefs (the PREFS report); each entry holds the
+stage's file, compute, reads and JSON format. A Run gives each stage's
+value once, on first use, and a compute reads the values it needs from
+the run. The CLI views only compute. summarize sends one request per
+scene through backends.fan_out, at most max_workers at a time.
 
-run_pipeline also persists, by one rule: a stage file is reused only if
-its sha256 and its input key (of all the stage reads) match its entry in
-stages.json, so a changed file or input re-executes exactly the stages
-that read a changed value. Before its first compute it checks that every
-file can be written. It writes each stage file through a temp file and
-os.replace, so a crash leaves the old file or none, and stages.json once
-at the end, after a failed stage too. A path that cannot be read or
+run_pipeline (every stage but prefs) and run_eval (prefs) persist by one
+rule: a stage file is reused only if its sha256 and its input key (of
+all the stage reads) match its entry in stages.json, so a changed file
+or input re-executes exactly the stages that read it, and run_eval
+computes no other stage. A run first checks that every file it may
+compute can be written. Each stage file is written through a temp file
+and os.replace, so a crash leaves the old file or none, and stages.json
+once at the end, after a failed stage too. A path that cannot be read or
 written is a ConfigError. Ablation flags drop a stage and its content.
 """
 
@@ -26,7 +27,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Collection, NamedTuple, Sequence
 
 from . import backends as be
 from .alignment import Alignment, TimeSpan, dtw_align, scene_time_spans
@@ -40,7 +41,7 @@ from .errors import (
     make_dir,
 )
 from .model import Episode, Partition, Scene, Transcript
-from .prefs import PrefsReport, prefs_multi_reference, split_sentences
+from .prefs import FactCounts, PrefsReport, prefs_multi_reference, split_sentences
 from .reordering import SceneOrder, order_cost, reorder
 from .segmentation import effective_partition, partition_from_breaks
 
@@ -247,6 +248,11 @@ def _fuse(run: Run) -> str:
     return summary
 
 
+def _prefs(run: Run) -> PrefsReport:
+    gold, config = run.episode.gold_summaries, run.config
+    return prefs_multi_reference(run["fuse"], gold, config.backends, config.max_workers)
+
+
 def _dump_partition(run: Run, p: Partition) -> dict:
     scenes = [
         {"start": s.start, "end": s.end, "roster": sorted(s.roster), "cost_bits": s.cost_bits}
@@ -303,8 +309,19 @@ def _load_order(tree) -> SceneOrder:
     return SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"])
 
 
+def _dump_prefs(run: Run, report: PrefsReport) -> dict:
+    return report.to_dict()
+
+
+def _load_prefs(tree) -> PrefsReport:
+    recall = tuple(FactCounts(**counts) for counts in tree["recall_counts"])
+    return PrefsReport(tree["fact_precision"], tree["fact_recall"], tree["prefs"],
+                       FactCounts(**tree["precision_counts"]), recall,
+                       tuple(tree["recall_per_reference"]))
+
+
 def dumps(obj) -> str:
-    """The one JSON layout: of every stage file, of prefs.json and of CLI stdout."""
+    """The one JSON layout: of every stage file, prefs.json included, and of CLI stdout."""
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 
@@ -312,13 +329,13 @@ class Stage(NamedTuple):
     """One stage file: the stage's name in errors, the file, compute, reads and format.
 
     reads names all that compute reads: upstream stages (STAGES keys),
-    episode parts (transcript, cues, visual_captions), the lexicon,
-    PipelineConfig fields and backend roles. The input key hashes them
-    and version, which goes up with any change to what the stage makes
-    from the same reads, so load only decodes bytes this code wrote for
-    these inputs. dump gives a value's JSON tree and load the tree's
-    value; a text stage has neither, and its file is the text and a
-    newline.
+    episode parts (transcript, cues, visual_captions, gold), the lexicon,
+    PipelineConfig fields and backend roles (as be.role_identity). The
+    input key hashes them and version, which goes up with any change to
+    what the stage makes from the same reads, so load only decodes bytes
+    this code wrote for these inputs. dump gives a value's JSON tree and
+    load the tree's value; a text stage has neither, and its file is the
+    text and a newline.
     """
 
     name: str
@@ -355,6 +372,8 @@ STAGES = {
     "fuse-input": Stage("fuse-input", "fusion_input.txt", _fuse_input,
                         ("caption", "summarize", "reorder", "context_budget")),
     "fuse": Stage("fuse", "summary.txt", _fuse, ("fuse-input", be.FUSION_SUMMARIZER)),
+    "prefs": Stage("prefs", "prefs.json", _prefs,
+                   ("fuse", "gold", be.FACT_EXTRACTOR, be.FACT_JUDGE), _dump_prefs, _load_prefs),
 }
 
 RECORD = "stages.json"  # beside the stage files: each one's input key and sha256
@@ -369,11 +388,7 @@ def _input(run: Run, read: str) -> str:
     if read in STAGES:
         return "skipped"
     if read in be.ROLES:
-        rt = run.config.backends.runtime(read)
-        text = f"{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
-        if rt.client.endpoint is not None:  # a mock's text starts with a quote, so never collides
-            return f"endpoint {rt.client.endpoint!r}\n{text}"
-        return text
+        return be.role_identity(run.config.backends.runtime(read))
     if read == "transcript":  # 2m + 1 parts for m lines; a JSON encoding costs more
         lines = run.episode.transcript.lines
         parts = [ln.speaker for ln in lines] + [ln.text for ln in lines]
@@ -382,6 +397,8 @@ def _input(run: Run, read: str) -> str:
         return "\n".join(f"{c.start} {c.end} {c.text}" for c in run.episode.captions.cues)
     if read == "visual_captions":
         return json.dumps(run.episode.precomputed_captions)
+    if read == "gold":
+        return json.dumps(run.episode.gold_summaries)
     if read == "lexicon":  # sets of names, so in sorted order
         male, female = sorted(run.config.lexicon.male), sorted(run.config.lexicon.female)
         return "\n".join([str(len(male)), *male, *female])
@@ -389,10 +406,10 @@ def _input(run: Run, read: str) -> str:
 
 
 def _read(path: Path) -> bytes | None:
-    """The bytes of path, None if there is no such file."""
+    """The bytes of path, None if there is no such file (a directory is not one)."""
     try:
         return path.read_bytes()
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         return None
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -453,14 +470,15 @@ class Run:
     """Each stage's value for one episode and config, made once on first use.
 
     run[key] is the value of STAGES[key]. stages holds the keys of the
-    stages that run_pipeline makes, and get gives a default for the
-    others. With out, a stage file there is the value if its sha256 and
-    its input key are those stages.json records; any other value is
-    computed and written there, and save records it.
+    stages this config makes, and get gives a default for the others.
+    With out, a stage file there is the value if its sha256 and input key
+    are those stages.json records; else a stage in computes is computed
+    and written there, and save records it, and any other is a DataError.
     """
 
-    def __init__(self, episode: Episode, config: PipelineConfig, out: Path | None = None):
-        self.episode, self.config, self.out = episode, config, out
+    def __init__(self, episode: Episode, config: PipelineConfig, out: Path | None = None,
+                 computes: Collection[str] = STAGES):
+        self.episode, self.config, self.out, self.computes = episode, config, out, computes
         uncaptioned = episode.captions is None
         skipped = {"align": uncaptioned, "spans": uncaptioned,
                    "caption": config.skip_vision, "summarize": config.skip_transcript}
@@ -499,8 +517,10 @@ class Run:
                 self._digests[key] = digest = _sha256(data)
                 if self._record.get(stage.file) == {"key": input_key, "sha256": digest}:
                     return stage.decode(data)
+            if key not in self.computes:
+                raise DataError(f"{self.out / stage.file} is missing or stale; rerun summarize")
             if not self._computed:  # fail before the first request, not after the last
-                files = [STAGES[k].file for k in self.stages] + [RECORD]
+                files = [STAGES[k].file for k in self.stages if k in self.computes] + [RECORD]
                 check_writable(*(self.out / file for file in files))
         try:
             value = stage.compute(self)
@@ -523,26 +543,11 @@ class Run:
             write_atomic(self.out / RECORD, dumps(self._record).encode("utf-8"))
 
 
-def read_summary(episode: Episode, config: PipelineConfig) -> str:
-    """The summary a run persisted, if its sha256 is the one stages.json records."""
-    stage, out = STAGES["fuse"], config.out_dir / episode.id
-    data = _read(out / stage.file)
-    if data is None:
-        raise DataError(
-            f"no summary to evaluate: pass --summary-file or run summarize first "
-            f"(looked for {out / stage.file})"
-        )
-    entry = _read_record(out).get(stage.file)
-    if not isinstance(entry, dict) or entry.get("sha256") != _sha256(data):
-        raise DataError(f"{out / stage.file} is not the summary {RECORD} records; rerun summarize")
-    return stage.decode(data)
-
-
 def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
-    """Make every stage for one episode, in order, reusing persisted files."""
+    """Make every stage but prefs for one episode, in order, reusing persisted files."""
     out = config.out_dir / episode.id
     make_dir(out, "--out directory")
-    run = Run(episode, config, out)
+    run = Run(episode, config, out, computes=STAGES.keys() - {"prefs"})
     try:
         return EpisodeArtifacts(
             partition=run["segment"],
@@ -559,15 +564,18 @@ def run_pipeline(episode: Episode, config: PipelineConfig) -> EpisodeArtifacts:
         run.save()
 
 
-def run_eval(episode: Episode, summary: str, config: PipelineConfig) -> PrefsReport:
-    """Score a summary against the episode's gold summaries."""
+def run_eval(episode: Episode, summary: str | None, config: PipelineConfig) -> PrefsReport:
+    """The prefs stage, summary its fuse value: the persisted one (never computed) if None."""
     if not episode.gold_summaries:
         raise DataError(f"episode {episode.id} has no gold summaries")
-    out = config.out_dir / episode.id
+    out, fuse = config.out_dir / episode.id, STAGES["fuse"]
+    if summary is None and not (out / fuse.file).exists():
+        raise DataError(f"no {out / fuse.file}: pass --summary-file or run summarize first")
     make_dir(out, "--out directory")
-    check_writable(out / "prefs.json")
-    report = prefs_multi_reference(
-        summary, episode.gold_summaries, config.backends, config.max_workers
-    )
-    write_atomic(out / "prefs.json", dumps(report.to_dict()).encode("utf-8"))
-    return report
+    run = Run(episode, config, out, computes={"prefs"})
+    if summary is not None:  # with the digest of a summary.txt that holds it
+        run._values["fuse"], run._digests["fuse"] = summary, _sha256(fuse.encode(run, summary))
+    try:
+        return run["prefs"]
+    finally:
+        run.save()

@@ -18,6 +18,7 @@ from conftest import (
 import scenefuse
 from scenefuse import backends
 from scenefuse.cli import main
+from scenefuse.errors import ConfigError
 
 GOLD = ["Brooke sails away tonight."]
 
@@ -256,6 +257,125 @@ def test_evaluate_without_any_summary(capsys, tmp_path, episode_dir):
     )
     assert code == 4
     assert "pass --summary-file or run summarize first" in err
+
+
+def test_evaluate_refuses_a_summary_of_a_changed_transcript(capsys, tmp_path, episode_dir):
+    out_dir = tmp_path / "artifacts"
+    code, _, err = run(capsys, "--mock", "--episode", episode_dir, "--out", out_dir, "summarize")
+    assert code == 0, err
+    transcript = episode_dir / "transcript.txt"
+    lines = transcript.read_text(encoding="utf-8").splitlines(keepends=True)
+    transcript.write_text("Brody: Did you see the fountain?\n" + "".join(lines[1:]), encoding="utf-8")
+
+    code, out, err = run(capsys, "--mock", "--episode", episode_dir, "--out", out_dir, "evaluate")
+    assert code == 4
+    assert out == ""
+    assert "rerun summarize" in err
+    assert not (out_dir / "ep1" / "prefs.json").exists()
+
+
+def count_requests(monkeypatch) -> list:
+    """The requests the default fact-extractor and fact-judge mocks answer from now on."""
+    requests = []
+    for role in (backends.FACT_EXTRACTOR, backends.FACT_JUDGE):
+        mock = backends._DEFAULT_MOCKS[role]
+        monkeypatch.setitem(
+            backends._DEFAULT_MOCKS, role, lambda req, mock=mock: requests.append(req) or mock(req)
+        )
+    return requests
+
+
+def fixture_episode(tmp_path, prefs_fixture, table: dict) -> list:
+    """Global flags that score the fixture's summary under a mock_fixture holding table."""
+    bundle = write_episode(tmp_path / "fx", EPISODE_TRANSCRIPT, gold=[prefs_fixture["reference"]])
+    (tmp_path / "summary.txt").write_text(prefs_fixture["summary"], encoding="utf-8")
+    (tmp_path / "table.json").write_text(json.dumps(table), encoding="utf-8")
+    return ["--mock", "--episode", bundle]
+
+
+def test_a_fixture_never_reads_what_a_default_mock_cached(capsys, tmp_path, prefs_fixture):
+    table = {key: prefs_fixture[key] for key in ("extractions", "verdicts")}
+    common = fixture_episode(tmp_path, prefs_fixture, table)
+    evaluate = ("evaluate", "--summary-file", tmp_path / "summary.txt")
+    shared = write_config(tmp_path, {"cache_dir": "cache"})
+    run_json(capsys, *shared, *common, "--out", tmp_path / "mock-out", *evaluate)
+    with_fixture = write_config(tmp_path, {"cache_dir": "cache", "mock_fixture": "table.json"})
+    data = run_json(capsys, *with_fixture, *common, "--out", tmp_path / "fixture-out", *evaluate)
+    assert (round(data["fact_precision"], 2), round(data["fact_recall"], 2)) == (49.25, 42.11)
+
+
+def test_evaluate_under_another_fixture_rescores(capsys, tmp_path, prefs_fixture):
+    table_a = {key: prefs_fixture[key] for key in ("extractions", "verdicts")}
+    table_b = {**table_a, "verdicts": dict.fromkeys(table_a["verdicts"], True)}
+    common = fixture_episode(tmp_path, prefs_fixture, table_a)
+    config = write_config(tmp_path, {"cache_dir": "cache", "mock_fixture": "table.json"})
+    evaluate = ("evaluate", "--summary-file", tmp_path / "summary.txt")
+    first = run_json(capsys, *config, *common, "--out", tmp_path / "out", *evaluate)
+    (tmp_path / "table.json").write_text(json.dumps(table_b), encoding="utf-8")
+    second = run_json(capsys, *config, *common, "--out", tmp_path / "out", *evaluate)
+    fresh = run_json(capsys, *config, *common, "--out", tmp_path / "fresh", *evaluate)
+    assert second == fresh != first
+
+
+@pytest.mark.parametrize("config", [{}, {"cache_dir": "cache"}], ids=["uncached", "cached"])
+def test_a_repeat_evaluate_sends_nothing_and_writes_nothing(
+    capsys, monkeypatch, tmp_path, episode_dir, config
+):
+    common = (*write_config(tmp_path, config), "--mock", "--episode", episode_dir, "--out",
+              tmp_path / "out")
+    code, _, err = run(capsys, *common, "summarize")
+    assert code == 0, err
+    code, first, err = run(capsys, *common, "evaluate")
+    assert code == 0, err
+    files = [tmp_path / "out" / "ep1" / name for name in ("prefs.json", "stages.json")]
+    before = [(path.stat().st_ino, path.read_bytes()) for path in files]
+
+    requests = count_requests(monkeypatch)
+    code, again, err = run(capsys, *common, "evaluate")
+    assert code == 0, err
+    assert again == first
+    assert requests == []
+    assert [(path.stat().st_ino, path.read_bytes()) for path in files] == before
+
+
+def edit_gold(episode_dir, tmp_path):
+    (episode_dir / "gold" / "summary0.txt").write_text("Nick owns a boat.", encoding="utf-8")
+    return []
+
+
+def edit_judge_template(episode_dir, tmp_path):
+    (tmp_path / "judge.txt").write_text("Claim: {fact}\nSource: {reference}\n", encoding="utf-8")
+    return write_config(tmp_path, {"backends": {"fact_judge": {"prompt_template": "judge.txt"}}})
+
+
+def edit_summary_file(episode_dir, tmp_path):
+    (tmp_path / "candidate.txt").write_text("Brooke sails away tonight.\n", encoding="utf-8")
+    return []
+
+
+@pytest.mark.parametrize("change", [edit_gold, edit_judge_template, edit_summary_file])
+def test_a_changed_evaluate_input_recomputes_the_report(
+    capsys, monkeypatch, tmp_path, episode_dir, change
+):
+    (tmp_path / "candidate.txt").write_text("Nick owns a boat. Brooke sails away.\n",
+                                            encoding="utf-8")
+    evaluate = ("--mock", "--episode", episode_dir, "evaluate", "--summary-file",
+                tmp_path / "candidate.txt")
+    code, first, err = run(capsys, "--out", tmp_path / "out", *evaluate)
+    assert code == 0, err
+    prefs = tmp_path / "out" / "ep1" / "prefs.json"
+    inode = prefs.stat().st_ino
+
+    config = change(episode_dir, tmp_path)
+    requests = count_requests(monkeypatch)
+    code, again, err = run(capsys, *config, "--out", tmp_path / "out", *evaluate)
+    assert code == 0, err
+    assert requests
+    assert prefs.stat().st_ino != inode
+    code, fresh, err = run(capsys, *config, "--out", tmp_path / "fresh", *evaluate)
+    assert code == 0, err
+    assert again == fresh
+    assert prefs.read_bytes() == (tmp_path / "fresh" / "ep1" / "prefs.json").read_bytes()
 
 
 def test_stats_scene_split_mdl_recovers_marked_scenes(capsys, episode_dir):
@@ -738,6 +858,31 @@ def test_unreadable_inputs_exit_with_their_code(
     assert "Traceback" not in err
     assert err.startswith("config error: " if expected == 2 else "data error: ")
     assert not list(tmp_path.rglob("*.tmp.*"))  # no temp file left behind
+
+
+@pytest.mark.parametrize("rate", [1e-320, 1e-300, 1e-9])
+def test_a_rate_limit_too_small_to_wait_for_is_refused(
+    capsys, monkeypatch, tmp_path, episode_dir, rate
+):
+    slept = []
+    monkeypatch.setattr(backends.time, "sleep", slept.append)
+    config = write_config(tmp_path, {"backends": {"dialogue_summarizer": {"rate_limit": rate}}})
+    code, out, err = run(
+        capsys, *config, "--mock", "--episode", episode_dir, "--out", tmp_path / "out", "summarize"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: dialogue_summarizer config key 'rate_limit' must be ")
+    assert slept == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_least_rate_limit_is_one_request_per_max_interval(tmp_path):
+    least = 1 / backends.MAX_RATE_INTERVAL_S
+    built = backends.build_backends({"backends": {"fact_judge": {"rate_limit": least}}})
+    assert built.runtime("fact_judge").client.limiter is not None
+    with pytest.raises(ConfigError, match="'rate_limit'"):
+        backends.build_backends({"backends": {"fact_judge": {"rate_limit": least * 0.99}}})
 
 
 def test_evaluate_with_nowhere_to_write_sends_no_request(

@@ -46,11 +46,10 @@ def test_parse_transcript_keeps_first_seen_casing():
     assert all(ln.speaker == "BROOKE" for ln in t.lines)
 
 
-def test_parse_transcript_annotations_attach_to_previous_line():
+def test_parse_transcript_counts_stage_directions_between_lines():
     t = parse_transcript("Alice: hi\n(She waves.)\n(Beat.)\nBob: hello\n")
-    assert t.lines[0].annotations == ("(She waves.)", "(Beat.)")
-    assert t.lines[1].annotations == ()
-    assert t.warnings == 0
+    assert [(ln.speaker, ln.text) for ln in t.lines] == [("Alice", "hi"), ("Bob", "hello")]
+    assert t.warnings == 2
 
 
 def test_parse_transcript_counts_leading_orphan_lines():

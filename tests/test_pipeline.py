@@ -754,7 +754,11 @@ def test_stage_reads_name_every_stage_its_compute_looks_up(tmp_path):
     config = PipelineConfig(
         backends=build_mock_backends(tmp_path / "cache"), out_dir=tmp_path / "out"
     )
-    run = LookupRecorder(standard_episode(tmp_path), config)
+    bundle = write_episode(
+        tmp_path / "ep1", EPISODE_TRANSCRIPT, captions=episode_captions(), visual=EPISODE_VISUAL,
+        gold=["Brooke sails away tonight."],  # so that the prefs compute runs too
+    )
+    run = LookupRecorder(load_episode(bundle), config)
     run.looked_up = set()
     assert run.stages == list(pipeline.STAGES)
     for key in run.stages:  # made up front, so a compute below makes no other stage

@@ -12,8 +12,7 @@ never loads NumPy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptySequence, UncoveredScene
 from .model import CaptionTrack, Partition
@@ -24,14 +23,12 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
 
 
-@dataclass(frozen=True)
-class TimeSpan:
+class TimeSpan(NamedTuple):
     start: int
     end: int
 

@@ -18,8 +18,6 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -54,19 +52,17 @@ CACHE_LOG = "completions.jsonl"
 MAX_RATE_INTERVAL_S = 3600.0  # a positive rate_limit may space requests at most this far
 
 
-@dataclass(frozen=True)
 class BackendRequest:
-    """One completion; ``variables`` (read-only) were rendered into ``prompt``."""
+    """One completion; ``variables`` (a read-only copy) were rendered into ``prompt``."""
 
-    role: str
-    prompt: str
-    model_name: str = "default"
-    max_output_tokens: int = 512
-    temperature: float = 0.0
-    variables: Mapping[str, str] = field(default_factory=dict, hash=False)
+    __slots__ = ("role", "prompt", "model_name", "max_output_tokens", "temperature", "variables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
+    def __init__(self, role: str, prompt: str, model_name: str = "default",
+                 max_output_tokens: int = 512, temperature: float = 0.0,
+                 variables: Mapping[str, str] = MappingProxyType({})):
+        self.role, self.prompt, self.model_name = role, prompt, model_name
+        self.max_output_tokens, self.temperature = max_output_tokens, temperature
+        self.variables = MappingProxyType(dict(variables))
 
 
 def cache_key(request: BackendRequest) -> str:
@@ -410,13 +406,15 @@ def render_template(template: str, **variables: str) -> str:
     return out
 
 
-@dataclass
 class RoleRuntime:
-    client: BackendClient
-    template: str
-    model_name: str = "default"
-    max_output_tokens: int = 512
-    temperature: float = 0.0
+    """A role's client and what its requests carry; a caller may reassign any field."""
+
+    __slots__ = ("client", "template", "model_name", "max_output_tokens", "temperature")
+
+    def __init__(self, client: BackendClient, template: str, model_name: str = "default",
+                 max_output_tokens: int = 512, temperature: float = 0.0):
+        self.client, self.template, self.model_name = client, template, model_name
+        self.max_output_tokens, self.temperature = max_output_tokens, temperature
 
 
 def role_identity(rt: RoleRuntime) -> str:
@@ -425,11 +423,13 @@ def role_identity(rt: RoleRuntime) -> str:
     return f"{source}{rt.model_name!r} {rt.max_output_tokens} {rt.temperature!r}\n{rt.template}"
 
 
-@dataclass
 class Backends:
     """Role -> runtime map used by every pipeline stage."""
 
-    roles: dict[str, RoleRuntime] = field(default_factory=dict)
+    __slots__ = ("roles",)
+
+    def __init__(self, roles: dict[str, RoleRuntime] | None = None):
+        self.roles = {} if roles is None else roles
 
     def runtime(self, role: str) -> RoleRuntime:
         try:
@@ -461,10 +461,7 @@ class Backends:
 
 
 def default_template(role: str) -> str:
-    return (
-        resources.files("scenefuse").joinpath(f"data/prompts/{role}.txt")
-        .read_text(encoding="utf-8")
-    )
+    return (Path(__file__).parent / "data" / "prompts" / f"{role}.txt").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

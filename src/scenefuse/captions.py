@@ -9,11 +9,9 @@ male or exactly one female speaker.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, read_text
 
@@ -41,14 +39,12 @@ class Gender(Enum):
     NEUTRAL = "n"
 
 
-@dataclass(frozen=True)
-class GenderLexicon:
+class GenderLexicon(NamedTuple):
     male: frozenset[str]
     female: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SceneCaption:
+class SceneCaption(NamedTuple):
     scene_index: int
     sentences: tuple[str, ...]
 
@@ -56,10 +52,7 @@ class SceneCaption:
 def load_lexicon(path: str | Path | None = None) -> GenderLexicon:
     """Read a `name<TAB>m|f` list; defaults to the bundled one."""
     if path is None:
-        text = (
-            resources.files("scenefuse").joinpath("data/name_genders.tsv")
-            .read_text(encoding="utf-8")
-        )
+        text = (Path(__file__).parent / "data" / "name_genders.tsv").read_text(encoding="utf-8")
     else:
         text = read_text(Path(path), ConfigError, "lexicon")
     male: set[str] = set()

@@ -1,5 +1,11 @@
 """Domain types for transcripts, captions, scenes, and episodes.
 
+The value types are immutable NamedTuples (derive a changed copy with
+``_replace``). Transcript and CaptionTrack are small ``__slots__``
+classes instead: their len is their line or cue count, and their
+``warnings`` count of skipped input is no part of the value, so ``==``
+and hash ignore it.
+
 Parsers are deliberately tolerant: fan transcripts are messy, so lines
 that do not parse are skipped with a counted warning rather than raised
 as errors.
@@ -8,14 +14,14 @@ as errors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, EmptyTranscript, NoCues, RangeOutOfBounds, read_json, read_text
 
 SCENE_BREAK_TOKEN = "[SCENE_BREAK]"
 
-_DIALOGUE_RE = re.compile(r"^([^:]+):(.*)$")
+_PARENTHETICAL_RE = re.compile(r"\s*\([^()]*\)$")
 _SRT_TIME_RE = re.compile(
     r"^(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})\s*-->\s*"
     r"(\d+):(\d{1,2}):(\d{1,2})[,.](\d{1,3})\s*$"
@@ -23,24 +29,36 @@ _SRT_TIME_RE = re.compile(
 
 
 def normalize_speaker(raw: str) -> str:
-    """Trim, collapse internal whitespace, drop a trailing colon."""
+    """Trim, collapse internal whitespace, drop a trailing colon, then a trailing (note)."""
     name = re.sub(r"\s+", " ", raw.strip())
-    return name[:-1].rstrip() if name.endswith(":") else name
+    return _PARENTHETICAL_RE.sub("", name[:-1].rstrip() if name.endswith(":") else name)
 
 
-@dataclass(frozen=True)
-class TranscriptLine:
+class TranscriptLine(NamedTuple):
     index: int
     speaker: str
     text: str
 
 
-@dataclass(frozen=True)
 class Transcript:
-    lines: tuple[TranscriptLine, ...]
-    explicit_breaks: tuple[int, ...] = ()
-    # warnings counts skipped input lines; irrelevant to value equality
-    warnings: int = field(default=0, compare=False)
+    """Dialogue lines, the marked breaks before them, and a count of skipped lines."""
+
+    __slots__ = ("lines", "explicit_breaks", "warnings")
+
+    def __init__(self, lines: tuple[TranscriptLine, ...], explicit_breaks: tuple[int, ...] = (),
+                 warnings: int = 0):
+        self.lines, self.explicit_breaks, self.warnings = lines, explicit_breaks, warnings
+
+    def __eq__(self, other):
+        if type(other) is not Transcript:
+            return NotImplemented
+        return (self.lines, self.explicit_breaks) == (other.lines, other.explicit_breaks)
+
+    def __hash__(self) -> int:
+        return hash((self.lines, self.explicit_breaks))
+
+    def __repr__(self) -> str:
+        return f"Transcript({self.lines!r}, {self.explicit_breaks!r}, warnings={self.warnings})"
 
     @property
     def roster(self) -> frozenset[str]:
@@ -50,24 +68,34 @@ class Transcript:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
-class CaptionCue:
+class CaptionCue(NamedTuple):
     start: int
     end: int
     text: str
 
 
-@dataclass(frozen=True)
 class CaptionTrack:
-    cues: tuple[CaptionCue, ...]
-    warnings: int = field(default=0, compare=False)
+    """Timed cues in start order, and a count of skipped or dropped cues."""
+
+    __slots__ = ("cues", "warnings")
+
+    def __init__(self, cues: tuple[CaptionCue, ...], warnings: int = 0):
+        self.cues, self.warnings = cues, warnings
+
+    def __eq__(self, other):
+        return self.cues == other.cues if type(other) is CaptionTrack else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.cues)
+
+    def __repr__(self) -> str:
+        return f"CaptionTrack({self.cues!r}, warnings={self.warnings})"
 
     def __len__(self) -> int:
         return len(self.cues)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     start: int
     end: int
     roster: frozenset[str]
@@ -82,8 +110,7 @@ class Scene:
         return len(self.roster)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     scenes: tuple[Scene, ...]
     total_cost: float
 
@@ -92,8 +119,7 @@ class Partition:
         return tuple(s.start for s in self.scenes[1:])
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     id: str
     transcript: Transcript
     captions: CaptionTrack | None = None
@@ -105,11 +131,13 @@ def parse_transcript(text: str) -> Transcript:
     """Parse ``Name: utterance`` lines into a Transcript.
 
     ``[SCENE_BREAK]`` marker lines record explicit breaks. Lines without
-    a speaker prefix are stage directions, skipped and counted in
-    warnings. Speaker names compare case-insensitively; the first-seen
+    a speaker prefix, and lines that open with ``[`` or ``(`` (``[Scene:
+    ...]``), are stage directions, skipped and counted in warnings. A
+    speaker's trailing parenthetical is dropped (``Ross (V.O.)`` is
+    ``Ross``). Speaker names compare case-insensitively; the first-seen
     casing is kept.
     """
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[int, str, str]] = []  # each line's index, speaker and text
     breaks: list[int] = []
     warnings = 0
     canonical: dict[str, str] = {}
@@ -121,22 +149,19 @@ def parse_transcript(text: str) -> Transcript:
         if stripped == SCENE_BREAK_TOKEN:
             breaks.append(len(rows))
             continue
-        match = _DIALOGUE_RE.match(stripped)
-        name = ""
-        if match:
-            prefix = match.group(1)
-            name = names.get(prefix)
-            if name is None:
-                speaker = normalize_speaker(prefix)
-                name = canonical.setdefault(speaker.lower(), speaker) if speaker else ""
-                names[prefix] = name
+        prefix, colon, rest = stripped.partition(":")
+        name = names.get(prefix) if colon else ""
+        if name is None:  # a line that opens with "[" or "(" is no speaker's
+            speaker = "" if prefix.startswith(("[", "(")) else normalize_speaker(prefix)
+            name = canonical.setdefault(speaker.lower(), speaker) if speaker else ""
+            names[prefix] = name
         if name:
-            rows.append((name, match.group(2).strip()))
+            rows.append((len(rows), name, rest.strip()))
         else:
             warnings += 1
     if not rows:
         raise EmptyTranscript("no dialogue line parsed")
-    lines = tuple(TranscriptLine(i, *row) for i, row in enumerate(rows))
+    lines = tuple(map(TranscriptLine._make, rows))
     valid = sorted({b for b in breaks if 1 <= b <= len(lines) - 1})
     return Transcript(lines, tuple(valid), warnings)
 

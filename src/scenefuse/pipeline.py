@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection, NamedTuple, Sequence
 
@@ -48,28 +47,33 @@ from .segmentation import effective_partition, partition_from_breaks
 UNIFORM_CHUNK_TOKENS = 1024
 
 
-@dataclass
 class PipelineConfig:
-    backends: be.Backends
-    out_dir: Path
-    context_budget: int = 4096
-    skip_reorder: bool = False
-    skip_vision: bool = False
-    skip_transcript: bool = False
-    uniform_chunks: bool = False
-    max_workers: int = 4
-    lexicon: GenderLexicon = field(default_factory=load_lexicon)
+    """A run's settings; a plain class, so a field may be reassigned.
 
-    def __post_init__(self):
-        self.out_dir = Path(self.out_dir)
-        if self.context_budget <= 0:
-            raise ConfigError(f"context_budget must be > 0, got {self.context_budget}")
-        if self.max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+    The class attributes are the defaults that SETTINGS also reads. A
+    lexicon that is not given is the bundled one, loaded here.
+    """
+
+    context_budget = 4096
+    max_workers = 4
+
+    def __init__(self, backends: be.Backends, out_dir: str | Path,
+                 context_budget: int = context_budget, skip_reorder: bool = False,
+                 skip_vision: bool = False, skip_transcript: bool = False,
+                 uniform_chunks: bool = False, max_workers: int = max_workers,
+                 lexicon: GenderLexicon | None = None):
+        if context_budget <= 0:
+            raise ConfigError(f"context_budget must be > 0, got {context_budget}")
+        if max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
+        self.backends, self.out_dir = backends, Path(out_dir)
+        self.context_budget, self.max_workers = context_budget, max_workers
+        self.skip_reorder, self.skip_vision = skip_reorder, skip_vision
+        self.skip_transcript, self.uniform_chunks = skip_transcript, uniform_chunks
+        self.lexicon = load_lexicon() if lexicon is None else lexicon
 
 
-@dataclass
-class EpisodeArtifacts:
+class EpisodeArtifacts(NamedTuple):
     partition: Partition
     alignment: Alignment | None
     time_spans: list[TimeSpan] | None

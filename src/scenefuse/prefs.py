@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import backends as be
 from .backends import normalize_fact
@@ -51,23 +50,20 @@ class Reason(Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     text: str
     origin: str
     source_sentence_index: int
     malformed: bool = False
 
 
-@dataclass(frozen=True)
-class FactVerdict:
+class FactVerdict(NamedTuple):
     fact: Fact
     supported: bool
     reason: Reason
 
 
-@dataclass(frozen=True)
-class FactCounts:
+class FactCounts(NamedTuple):
     """extracted facts, survivors of filtering, judge queries, supported."""
 
     extracted: int
@@ -76,16 +72,10 @@ class FactCounts:
     supported: int
 
     def to_dict(self) -> dict:
-        return {
-            "extracted": self.extracted,
-            "filtered": self.filtered,
-            "judged": self.judged,
-            "supported": self.supported,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class PrefsReport:
+class PrefsReport(NamedTuple):
     fact_precision: float
     fact_recall: float
     prefs: float

@@ -46,9 +46,8 @@ never the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Screen margin, in units of 2**-53, times n*n. Every distance lies in
 # [0, 1]. A left fold of n - 1 such terms starting from 0.0 makes n - 2
@@ -69,8 +68,7 @@ from typing import Iterable, Sequence
 _SCREEN_ULPS = 8
 
 
-@dataclass(frozen=True)
-class SceneOrder:
+class SceneOrder(NamedTuple):
     permutation: tuple[int, ...]
     cost: float
 

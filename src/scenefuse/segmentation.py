@@ -54,8 +54,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyTranscript, InvalidCount
 from .model import Partition, Scene, Transcript, scene_roster
@@ -75,8 +74,7 @@ def codebook_cost(n_total: int, n_scene: int) -> float:
     return bits
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     """Lookup tables indexed by a span's distinct-speaker count n.
 
     Slot 0 is never a real span; it keeps index arithmetic in range.

@@ -14,7 +14,6 @@ deviations, and sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,17 +23,15 @@ from .errors import InvalidCount, LengthMismatch, ZeroVariance
 Labeling = Sequence[int]
 
 
-@dataclass(frozen=True)
 class SampleStats:
-    mean: float
-    std: float
-    n: int
+    __slots__ = ("mean", "std", "n")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidCount(f"need n >= 2 samples, got {self.n}")
-        if self.std < 0:
-            raise InvalidCount(f"standard deviation must be >= 0, got {self.std}")
+    def __init__(self, mean: float, std: float, n: int):
+        if n < 2:
+            raise InvalidCount(f"need n >= 2 samples, got {n}")
+        if std < 0:
+            raise InvalidCount(f"standard deviation must be >= 0, got {std}")
+        self.mean, self.std, self.n = mean, std, n
 
     @property
     def var(self) -> float:

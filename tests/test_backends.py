@@ -311,8 +311,8 @@ def test_rate_limiter_spaces_out_acquisitions():
 class InFlight:
     """Counts the calls of ``fn`` in flight, and the most at once."""
 
-    def __init__(self, fn, delay: float = 0.0):
-        self.fn, self.delay = fn, delay
+    def __init__(self, fn):
+        self.fn = fn
         self.now = self.peak = 0
         self.ran: set = set()
         self._lock = threading.Lock()
@@ -323,7 +323,6 @@ class InFlight:
             self.now += 1
             self.peak = max(self.peak, self.now)
         try:
-            time.sleep(self.delay)
             return self.fn(item)
         finally:
             with self._lock:
@@ -342,7 +341,10 @@ def test_fan_out_returns_results_in_item_order(workers):
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_fan_out_keeps_max_workers_calls_in_flight(workers):
-    calls = InFlight(lambda i: i, delay=0.005)
+    # the first calls wait until workers of them are in flight; a fan-out
+    # that runs fewer at once breaks the barrier after 10 s
+    barrier = threading.Barrier(workers, timeout=10)
+    calls = InFlight(lambda i: i >= workers or barrier.wait())
     fan_out(calls, range(24), workers)
     assert calls.peak == workers
 

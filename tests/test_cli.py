@@ -566,7 +566,9 @@ def fresh_python(probe: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "name", ["scipy", "requests", "urllib3", "http", "numpy", "concurrent", "logging"]
+    "name",
+    ["scipy", "requests", "urllib3", "http", "numpy", "concurrent", "logging", "dataclasses",
+     "inspect"],
 )
 def test_cli_import_loads_no(name):
     probe = (

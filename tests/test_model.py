@@ -52,6 +52,27 @@ def test_parse_transcript_counts_stage_directions_between_lines():
     assert t.warnings == 2
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [
+        "[Scene: Central Perk, the gang is there.]",
+        "[Time Lapse: later that day]",
+        "(Later: Monica's apartment)",
+    ],
+)
+def test_parse_transcript_skips_a_stage_direction_that_holds_a_colon(direction):
+    t = parse_transcript(f"{direction}\nRoss: Hi.\n{direction}\nRachel: Hey.\n")
+    assert [(ln.speaker, ln.text) for ln in t.lines] == [("Ross", "Hi."), ("Rachel", "Hey.")]
+    assert t.warnings == 2
+
+
+@pytest.mark.parametrize("prefix", ["ROSS (V.O.)", "Ross (angrily)"])
+def test_parse_transcript_drops_a_speaker_parenthetical(prefix):
+    t = parse_transcript(f"Ross: Hi.\n{prefix}: Fine.\n")
+    assert [ln.speaker for ln in t.lines] == ["Ross", "Ross"]
+    assert t.roster == frozenset({"Ross"})
+
+
 def test_parse_transcript_counts_leading_orphan_lines():
     t = parse_transcript("(Fade in.)\nAlice: hi\n")
     assert t.warnings == 1

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -730,8 +729,8 @@ def test_a_changed_input_recomputes_exactly_the_stages_that_depend_on_it(
     files = {pipeline.STAGES[key].file for key in recomputed}
     assert rewritten == (files | {"stages.json"} if recomputed else set())
 
-    fresh = run_pipeline(episode, replace(config, out_dir=tmp_path / "fresh"))
-    assert replace(artifacts, out_dir=fresh.out_dir) == fresh
+    fresh = run_pipeline(episode, PipelineConfig(**{**vars(config), "out_dir": tmp_path / "fresh"}))
+    assert artifacts._replace(out_dir=fresh.out_dir) == fresh
     fresh_files = {p.name: p.read_bytes() for p in fresh.out_dir.iterdir()}
     record = json.loads(fresh_files.pop("stages.json"))
     assert {name: (out / name).read_bytes() for name in fresh_files} == fresh_files
@@ -852,7 +851,7 @@ def test_summarize_keeps_up_to_max_workers_requests_in_flight(tmp_path, workers)
     )
     episode = load_episode(write_episode(tmp_path / "ep", transcript))
     answer = default_mock_transport("dialogue_summarizer").send
-    lock = threading.Lock()
+    lock, second = threading.Lock(), threading.Event()
     in_flight = peak = 0
 
     def delayed(request):
@@ -860,7 +859,11 @@ def test_summarize_keeps_up_to_max_workers_requests_in_flight(tmp_path, workers)
         with lock:
             in_flight += 1
             peak = max(peak, in_flight)
-        time.sleep(0.005)
+            if in_flight > 1:
+                second.set()
+        # the first request holds until a second is in flight
+        if not second.wait(10):
+            raise AssertionError("no second request came in flight within 10 s")
         with lock:
             in_flight -= 1
         return answer(request)
@@ -870,7 +873,7 @@ def test_summarize_keeps_up_to_max_workers_requests_in_flight(tmp_path, workers)
     config = PipelineConfig(backends=backends, out_dir=tmp_path / "out", max_workers=workers)
     summaries = pipeline.Run(episode, config)["summarize"]
     assert 1 < peak <= workers
-    serial = pipeline.Run(episode, replace(config, max_workers=1))["summarize"]
+    serial = pipeline.Run(episode, PipelineConfig(**{**vars(config), "max_workers": 1}))["summarize"]
     assert summaries == serial and len(set(summaries)) == 8
 
 

@@ -40,7 +40,7 @@ from .errors import (
     make_dir,
 )
 from .model import Episode, Partition, Scene, Transcript
-from .prefs import FactCounts, PrefsReport, prefs_multi_reference, split_sentences
+from .prefs import PrefsReport, prefs_multi_reference, split_sentences
 from .reordering import SceneOrder, order_cost, reorder
 from .segmentation import effective_partition, partition_from_breaks
 
@@ -234,7 +234,8 @@ def _summarize(run: Run) -> list[str]:
 def _reorder(run: Run) -> SceneOrder:
     rosters = [scene.roster for scene in run["segment"].scenes]
     if run.config.skip_reorder:
-        return SceneOrder(tuple(range(len(rosters))), order_cost(rosters))
+        cost = order_cost(rosters)
+        return SceneOrder(tuple(range(len(rosters))), cost, cost)
     return reorder(rosters)
 
 
@@ -257,7 +258,7 @@ def _prefs(run: Run) -> PrefsReport:
     return prefs_multi_reference(run["fuse"], gold, config.backends, config.max_workers)
 
 
-def _dump_partition(run: Run, p: Partition) -> dict:
+def _dump_partition(p: Partition) -> dict:
     scenes = [
         {"start": s.start, "end": s.end, "roster": sorted(s.roster), "cost_bits": s.cost_bits}
         for s in p.scenes
@@ -272,7 +273,7 @@ def _load_partition(tree) -> Partition:
     return Partition(scenes, tree["total_cost_bits"])  # "breaks" follow from the scenes
 
 
-def _dump_alignment(run: Run, alignment: Alignment) -> dict:
+def _dump_alignment(alignment: Alignment) -> dict:
     return {"path": [list(pair) for pair in alignment.pairs], "total_cost": alignment.total_cost}
 
 
@@ -280,7 +281,7 @@ def _load_alignment(tree) -> Alignment:
     return Alignment(tuple((line, cue) for line, cue in tree["path"]), tree["total_cost"])
 
 
-def _dump_spans(run: Run, spans: list[TimeSpan]) -> list[dict]:
+def _dump_spans(spans: list[TimeSpan]) -> list[dict]:
     return [{"scene": i, "start_ms": s.start, "end_ms": s.end} for i, s in enumerate(spans)]
 
 
@@ -288,7 +289,7 @@ def _load_spans(tree) -> list[TimeSpan]:
     return [TimeSpan(d["start_ms"], d["end_ms"]) for d in tree]
 
 
-def _dump_captions(run: Run, captions: list[SceneCaption]) -> list[dict]:
+def _dump_captions(captions: list[SceneCaption]) -> list[dict]:
     return [{"scene_index": c.scene_index, "sentences": list(c.sentences)} for c in captions]
 
 
@@ -296,32 +297,16 @@ def _load_captions(tree) -> list[SceneCaption]:
     return [SceneCaption(row["scene_index"], tuple(row["sentences"])) for row in tree]
 
 
-def _dump_summaries(run: Run, summaries: list[str]) -> list[str]:
-    return list(summaries)
-
-
-def _dump_order(run: Run, order: SceneOrder) -> dict:
-    rosters = [scene.roster for scene in run["segment"].scenes]
+def _dump_order(order: SceneOrder) -> dict:
     return {
         "permutation": list(order.permutation),
         "reordered_cost": order.cost,
-        "original_cost": order_cost(rosters),
+        "original_cost": order.original_cost,
     }
 
 
 def _load_order(tree) -> SceneOrder:
-    return SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"])
-
-
-def _dump_prefs(run: Run, report: PrefsReport) -> dict:
-    return report.to_dict()
-
-
-def _load_prefs(tree) -> PrefsReport:
-    recall = tuple(FactCounts(**counts) for counts in tree["recall_counts"])
-    return PrefsReport(tree["fact_precision"], tree["fact_recall"], tree["prefs"],
-                       FactCounts(**tree["precision_counts"]), recall,
-                       tuple(tree["recall_per_reference"]))
+    return SceneOrder(tuple(tree["permutation"]), tree["reordered_cost"], tree["original_cost"])
 
 
 def dumps(obj) -> str:
@@ -337,21 +322,22 @@ class Stage(NamedTuple):
     PipelineConfig fields and backend roles (as be.role_identity). The
     input key hashes them and version, which goes up with any change to
     what the stage makes from the same reads, so load only decodes bytes
-    this code wrote for these inputs. dump gives a value's JSON tree and
-    load the tree's value; a text stage has neither, and its file is the
-    text and a newline.
+    this code wrote for these inputs. dump gives the JSON tree of the
+    stage value alone (order.json's original_cost is a SceneOrder field),
+    and load the tree's value; a text stage has neither, and its file is
+    the text and a newline.
     """
 
     name: str
     file: str
     compute: Callable[[Run], Any]
     reads: tuple[str, ...]
-    dump: Callable[[Run, Any], Any] | None = None
+    dump: Callable[[Any], Any] | None = None
     load: Callable[[Any], Any] | None = None
     version: int = 1
 
-    def encode(self, run: Run, value) -> bytes:
-        text = value + "\n" if self.dump is None else dumps(self.dump(run, value))
+    def encode(self, value) -> bytes:
+        text = value + "\n" if self.dump is None else dumps(self.dump(value))
         return text.encode("utf-8")
 
     def decode(self, data: bytes):
@@ -370,14 +356,15 @@ STAGES = {
     "caption": Stage("caption", "captions.json", _caption,
                      ("segment", "visual_captions", "lexicon"), _dump_captions, _load_captions),
     "summarize": Stage("summarize", "summaries.json", _summarize,
-                       ("segment", "transcript", be.DIALOGUE_SUMMARIZER), _dump_summaries, list),
+                       ("segment", "transcript", be.DIALOGUE_SUMMARIZER), list, list),
     "reorder": Stage("reorder", "order.json", _reorder, ("segment", "skip_reorder"),
                      _dump_order, _load_order),
     "fuse-input": Stage("fuse-input", "fusion_input.txt", _fuse_input,
                         ("caption", "summarize", "reorder", "context_budget")),
     "fuse": Stage("fuse", "summary.txt", _fuse, ("fuse-input", be.FUSION_SUMMARIZER)),
     "prefs": Stage("prefs", "prefs.json", _prefs,
-                   ("fuse", "gold", be.FACT_EXTRACTOR, be.FACT_JUDGE), _dump_prefs, _load_prefs),
+                   ("fuse", "gold", be.FACT_EXTRACTOR, be.FACT_JUDGE),
+                   PrefsReport.to_dict, PrefsReport.from_dict),
 }
 
 RECORD = "stages.json"  # beside the stage files: each one's input key and sha256
@@ -501,7 +488,7 @@ class Run:
         return self[key] if key in self.stages else default
 
     def dump(self, key: str):
-        return STAGES[key].dump(self, self[key])
+        return STAGES[key].dump(self[key])
 
     def _digest(self, read: str) -> str:
         """sha256 of what a stage reads under this name, made at most once."""
@@ -534,7 +521,7 @@ class Run:
                 exc.args = (f"stage {stage.name}: {exc}",)
             raise
         if self.out:
-            data = stage.encode(self, value)
+            data = stage.encode(value)
             write_atomic(self.out / stage.file, data)
             self._digests[key] = digest = _sha256(data)
             self._record[stage.file] = {"key": input_key, "sha256": digest}
@@ -578,7 +565,7 @@ def run_eval(episode: Episode, summary: str | None, config: PipelineConfig) -> P
     make_dir(out, "--out directory")
     run = Run(episode, config, out, computes={"prefs"})
     if summary is not None:  # with the digest of a summary.txt that holds it
-        run._values["fuse"], run._digests["fuse"] = summary, _sha256(fuse.encode(run, summary))
+        run._values["fuse"], run._digests["fuse"] = summary, _sha256(fuse.encode(summary))
     try:
         return run["prefs"]
     finally:

@@ -71,9 +71,6 @@ class FactCounts(NamedTuple):
     judged: int
     supported: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class PrefsReport(NamedTuple):
     fact_precision: float
@@ -84,14 +81,22 @@ class PrefsReport(NamedTuple):
     recall_per_reference: tuple[float, ...]
 
     def to_dict(self) -> dict:
+        """The JSON tree of prefs.json, which from_dict reads back."""
         return {
             "fact_precision": self.fact_precision,
             "fact_recall": self.fact_recall,
             "prefs": self.prefs,
-            "precision_counts": self.precision_counts.to_dict(),
-            "recall_counts": [c.to_dict() for c in self.recall_counts],
+            "precision_counts": self.precision_counts._asdict(),
+            "recall_counts": [c._asdict() for c in self.recall_counts],
             "recall_per_reference": list(self.recall_per_reference),
         }
+
+    @classmethod
+    def from_dict(cls, tree: dict) -> PrefsReport:
+        recall = tuple(FactCounts(**counts) for counts in tree["recall_counts"])
+        return cls(tree["fact_precision"], tree["fact_recall"], tree["prefs"],
+                   FactCounts(**tree["precision_counts"]), recall,
+                   tuple(tree["recall_per_reference"]))
 
 
 def split_sentences(text: str) -> list[str]:

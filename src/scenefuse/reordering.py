@@ -15,7 +15,8 @@ sets bit for bit.
 The greedy pass returns the order and the cost bits that folding every
 candidate order in full would; it only does less work. It keeps
 pair[k], the distance of positions k and k + 1, and run[k], the left
-fold of pair[:k], so run[-1] is the cost. Moving the scene at p to
+fold of pair[:k], so run[-1] is the cost; before the first move it is
+the original order's, as order_cost folds it. Moving the scene at p to
 dest < p changes only the pairs at dest - 1, dest and p.
 
 - Screen. The six-term delta of those pairs rejects the move unfolded
@@ -71,6 +72,7 @@ _SCREEN_ULPS = 8
 class SceneOrder(NamedTuple):
     permutation: tuple[int, ...]
     cost: float
+    original_cost: float  # of the order as given, folded as order_cost folds
 
 
 def _masks(rosters: Sequence[Iterable[str]]) -> list[int]:
@@ -139,13 +141,14 @@ def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
     """
     n = len(rosters)
     if n <= 1:
-        return SceneOrder(tuple(range(n)), 0.0)
+        return SceneOrder(tuple(range(n)), 0.0, 0.0)
     masks = _masks(rosters)
     margin = _SCREEN_ULPS * n * n * 2.0**-53
 
     perm = list(range(n))
     pair = [_distance(masks[k], masks[k + 1]) for k in range(n - 1)]
     run = list(accumulate(pair, initial=0.0))
+    original = run[-1]
     # fold rejections that read past p + 1: position -> highest index read
     far: dict[int, int] = {}
     todo: Iterable[int] = range(1, n)
@@ -181,7 +184,7 @@ def reorder(rosters: Sequence[Iterable[str]]) -> SceneOrder:
             if h > p + 1:
                 far[p] = h
         else:
-            return SceneOrder(tuple(perm), run[-1])
+            return SceneOrder(tuple(perm), run[-1], original)
         perm.insert(dest, perm.pop(p))
         pair[lo:p + 1] = head
         run[lo:] = accumulate(pair[lo:], initial=run[lo])

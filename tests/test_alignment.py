@@ -166,7 +166,7 @@ def test_dtw_matches_exhaustive_path_enumeration():
 
 def test_alignment_to_dict():
     alignment = Alignment(((0, 0), (1, 1)), 0.25)
-    assert STAGES["align"].dump(None, alignment) == {
+    assert STAGES["align"].dump(alignment) == {
         "path": [[0, 0], [1, 1]], "total_cost": 0.25
     }
 
@@ -212,7 +212,7 @@ def test_scene_without_any_matched_cue_is_an_error():
 
 
 def test_spans_to_dicts():
-    assert STAGES["spans"].dump(None, [TimeSpan(0, 10), TimeSpan(10, 30)]) == [
+    assert STAGES["spans"].dump([TimeSpan(0, 10), TimeSpan(10, 30)]) == [
         {"scene": 0, "start_ms": 0, "end_ms": 10},
         {"scene": 1, "start_ms": 10, "end_ms": 30},
     ]

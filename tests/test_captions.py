@@ -137,6 +137,6 @@ def test_lexicon_is_shared_frozen_data():
 
 def test_scene_caption_to_dict():
     cap = SceneCaption(2, ("Brody waves",))
-    assert STAGES["caption"].dump(None, [cap]) == [
+    assert STAGES["caption"].dump([cap]) == [
         {"scene_index": 2, "sentences": ["Brody waves"]}
     ]

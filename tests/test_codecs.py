@@ -8,7 +8,7 @@ import pytest
 from conftest import make_transcript
 from scenefuse.alignment import Alignment, TimeSpan, dtw_align
 from scenefuse.captions import SceneCaption
-from scenefuse.model import Partition, Scene
+from scenefuse.model import Partition
 from scenefuse.pipeline import STAGES
 from scenefuse.reordering import reorder
 from scenefuse.segmentation import optimal_partition, partition_from_breaks
@@ -17,17 +17,9 @@ NAMES = ["Brody", "Jessica", "Zoë", "Łukasz", "Ana María", "李雷"]
 WORDS = ["the", "dock", "garden", "naïve", "café", "🙂", "is", "seen", ""]
 
 
-def scenes_of(rosters) -> Partition:
-    """A partition with one one-line scene per roster."""
-    return Partition(
-        tuple(Scene(i, i + 1, frozenset(r), 0.0) for i, r in enumerate(rosters)), 0.0
-    )
-
-
-def round_trip(key, value, partition=None):
+def round_trip(key, value):
     stage = STAGES[key]
-    run = {"segment": partition}  # all that a stage format reads of a run
-    return stage.load(json.loads(json.dumps(stage.dump(run, value))))
+    return stage.load(json.loads(json.dumps(stage.dump(value))))
 
 
 def random_text(rng: random.Random) -> str:
@@ -72,29 +64,28 @@ def test_scene_order_round_trip(seed):
             set(rng.sample(NAMES, rng.randint(0, 3))) for _ in range(rng.randint(0, 12))
         ]
         order = reorder(rosters)
-        run = {"segment": scenes_of(rosters)}
-        back = round_trip("reorder", order, run["segment"])
+        back = round_trip("reorder", order)
         assert back == order
         assert repr(back.cost) == repr(order.cost)
-        # order.json also carries the original order's cost; the loader skips it
-        data = STAGES["reorder"].dump(run, order)
+        assert repr(back.original_cost) == repr(order.original_cost)
+        # order.json carries the original order's cost, and the loader reads it back
+        data = STAGES["reorder"].dump(order)
         assert "original_cost" in data
         assert STAGES["reorder"].load(data) == order
 
 
 def test_scene_caption_and_time_span_round_trip():
     rng = random.Random(7)
-    one_scene = scenes_of([()])
     for i in range(50):
         caption = SceneCaption(i, tuple(random_text(rng) for _ in range(rng.randint(0, 4))))
-        assert round_trip("caption", [caption], one_scene) == [caption]
+        assert round_trip("caption", [caption]) == [caption]
         span = TimeSpan(rng.randint(0, 10**9), rng.randint(0, 10**9))
-        assert round_trip("spans", [span], one_scene) == [span]
+        assert round_trip("spans", [span]) == [span]
 
 
 def test_spans_file_format_labels_each_scene():
     spans = [TimeSpan(0, 12000), TimeSpan(12000, 24000)]
-    data = STAGES["spans"].dump(None, spans)
+    data = STAGES["spans"].dump(spans)
     assert [d["scene"] for d in data] == [0, 1]
     # spans.json also carries each scene's index; the loader skips it
     assert STAGES["spans"].load(data) == spans
@@ -103,7 +94,7 @@ def test_spans_file_format_labels_each_scene():
 def test_partition_reader_ignores_the_derived_breaks():
     transcript = make_transcript(["A", "B", "A", "C", "C", "D"])
     partition = partition_from_breaks(transcript, [3])
-    data = STAGES["segment"].dump(None, partition)
+    data = STAGES["segment"].dump(partition)
     assert data["breaks"] == [3]
     del data["breaks"]
     assert STAGES["segment"].load(data) == partition

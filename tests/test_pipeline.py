@@ -52,7 +52,7 @@ from scenefuse.pipeline import (
     uniform_chunk_breaks,
 )
 from scenefuse.prefs import split_sentences
-from scenefuse.reordering import SceneOrder
+from scenefuse.reordering import SceneOrder, order_cost
 
 
 def build_uncached_backends() -> Backends:
@@ -110,7 +110,7 @@ def test_uniform_chunk_breaks_counts_speaker_tokens():
 
 SUMMARIES = ["alpha one. alpha two.", "beta one. beta two.", "gamma one."]
 CAPTIONS = [["cap a1", "cap a2"], ["cap b1"], ["cap c1"]]
-ORDER = SceneOrder((2, 0, 1), 0.0)
+ORDER = SceneOrder((2, 0, 1), 0.0, 0.0)
 
 
 def assemble(budget):
@@ -148,12 +148,12 @@ def test_fusion_budget_too_small_for_the_first_block():
 
 
 def test_fusion_input_without_any_content():
-    order = SceneOrder((0, 1), 0.0)
+    order = SceneOrder((0, 1), 0.0, 0.0)
     assert assemble_fusion_input([None, None], [[], []], order, 50) == ""
 
 
 def test_fusion_caption_only_blocks_can_be_trimmed():
-    order = SceneOrder((0, 1), 0.0)
+    order = SceneOrder((0, 1), 0.0, 0.0)
     out = assemble_fusion_input(
         [None, None], [["cap one here"], ["cap two there"]], order, 3
     )
@@ -263,7 +263,7 @@ def random_fusion_case(rng: random.Random):
         for _ in range(rng.randint(0, n))
     ]
     captions = [rng.choices(PARTS, k=rng.randint(0, 3)) for _ in range(rng.randint(0, n))]
-    return summaries, captions, SceneOrder(tuple(permutation), 0.0), rng.randint(-1, 16)
+    return summaries, captions, SceneOrder(tuple(permutation), 0.0, 0.0), rng.randint(-1, 16)
 
 
 def fusion_outcome(assemble_fn, summaries, captions, order, budget):
@@ -944,6 +944,24 @@ def test_pipeline_skip_reorder_keeps_transcript_order(tmp_path):
     blocks = artifacts.fusion_input.split("\n\n")
     assert "dock" in blocks[1]
     assert "garden plans" in blocks[2]
+
+
+@pytest.mark.parametrize("skip_reorder", [False, True], ids=["reordered", "skip_reorder"])
+def test_a_run_folds_the_original_order_cost_at_most_once(skip_reorder, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        pipeline, "order_cost", lambda rosters: calls.append(rosters) or order_cost(rosters)
+    )
+    episode = load_episode(write_episode(tmp_path / "ep2", INTERLEAVED))
+    backends = build_mock_backends(tmp_path / "cache")
+    config = PipelineConfig(
+        backends=backends, out_dir=tmp_path / "out", skip_reorder=skip_reorder
+    )
+    artifacts = run_pipeline(episode, config)
+    # reorder keeps the fold it makes before its first move; skip_reorder folds once
+    assert len(calls) == skip_reorder
+    persisted = json.loads((artifacts.out_dir / "order.json").read_text("utf-8"))
+    assert persisted["original_cost"] == artifacts.order.original_cost == 2.0
 
 
 # ---------------------------------------------------------------------------

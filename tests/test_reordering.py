@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_transcript
 from scenefuse import reordering
-from scenefuse.pipeline import STAGES
+from scenefuse.model import SCENE_BREAK_TOKEN, Episode, parse_transcript
+from scenefuse.pipeline import STAGES, PipelineConfig, Run
 from scenefuse.reordering import SceneOrder, _distance, _masks, order_cost, reorder
 from scenefuse.segmentation import partition_from_breaks
 
@@ -55,7 +56,7 @@ def brute_force_reorder(rosters) -> SceneOrder:
         for perm in permutations(range(n))
         if all(perm.index(i) < perm.index(j) for i, j in pairs)
     )
-    return SceneOrder(perm, cost)
+    return SceneOrder(perm, cost, order_cost(rosters))
 
 
 def random_rosters(rng: random.Random, n: int) -> list[set[str]]:
@@ -70,7 +71,7 @@ def reference_reorder(rosters):
     n = len(rosters)
     sets = [set(r) for r in rosters]
     if n <= 1:
-        return SceneOrder(tuple(range(n)), 0.0)
+        return SceneOrder(tuple(range(n)), 0.0, 0.0)
     dist = [[1.0 - iou(a, b) for b in sets] for a in sets]
     shares = [[bool(sets[i] & sets[j]) for j in range(n)] for i in range(n)]
 
@@ -81,7 +82,7 @@ def reference_reorder(rosters):
         return total
 
     perm = list(range(n))
-    current = fold(perm)
+    original = current = fold(perm)
     moved = True
     while moved:
         moved = False
@@ -101,7 +102,12 @@ def reference_reorder(rosters):
                 current = cost
                 moved = True
                 break
-    return SceneOrder(tuple(perm), current)
+    return SceneOrder(tuple(perm), current, original)
+
+
+def disjoint_rosters(rng: random.Random, n: int) -> list[set[str]]:
+    # no name in two scenes, and some scenes with none: every pair is 1.0
+    return [{f"{name}{i}" for name in rng.sample(NAMES, rng.randint(0, 3))} for i in range(n)]
 
 
 def small_pool_rosters(rng: random.Random, n: int) -> list[set[str]]:
@@ -156,9 +162,9 @@ def test_worked_example_pulls_matching_scenes_together():
 
 
 def test_trivial_sizes():
-    assert reorder([]) == SceneOrder((), 0.0)
-    assert reorder([{"Alice"}]) == SceneOrder((0,), 0.0)
-    assert brute_force_reorder([{"Alice"}]) == SceneOrder((0,), 0.0)
+    assert reorder([]) == SceneOrder((), 0.0, 0.0)
+    assert reorder([{"Alice"}]) == SceneOrder((0,), 0.0, 0.0)
+    assert brute_force_reorder([{"Alice"}]) == SceneOrder((0,), 0.0, 0.0)
 
 
 def test_greedy_respects_causality_and_never_raises_cost():
@@ -210,12 +216,36 @@ def test_order_to_dict_reports_both_costs():
     rosters = [scene.roster for scene in partition.scenes]
     assert rosters == [{"Alice", "Bob"}, {"Charlie", "Dana"}, {"Alice", "Bob"}]
     order = reorder(rosters)
-    data = STAGES["reorder"].dump({"segment": partition}, order)
+    data = STAGES["reorder"].dump(order)
     assert data == {
         "permutation": [1, 0, 2],
         "original_cost": 2.0,
         "reordered_cost": 1.0,
     }
+
+
+@pytest.mark.parametrize("cast", [random_rosters, small_pool_rosters, disjoint_rosters])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 150])
+def test_original_cost_is_the_order_cost_fold_bitwise(n, cast):
+    rng = random.Random(n)
+    for _ in range(20):
+        rosters = cast(rng, n)
+        assert reorder(rosters).original_cost.hex() == order_cost(rosters).hex()
+
+
+@pytest.mark.parametrize("scenes", [1, 2, 45])
+def test_skip_reorder_stage_keeps_the_given_order_and_its_cost(scenes, mock_backends, tmp_path):
+    casts = random_rosters(random.Random(scenes), scenes)
+    text = f"\n{SCENE_BREAK_TOKEN}\n".join(
+        "\n".join(f"{name}: line" for name in sorted(cast)) for cast in casts
+    )
+    config = PipelineConfig(backends=mock_backends, out_dir=tmp_path, skip_reorder=True)
+    run = Run(Episode("ep", parse_transcript(text)), config)
+    rosters = [scene.roster for scene in run["segment"].scenes]
+    assert rosters == casts
+    order = run["reorder"]
+    assert order.permutation == tuple(range(len(rosters)))
+    assert order.cost.hex() == order.original_cost.hex() == order_cost(rosters).hex()
 
 
 @pytest.mark.parametrize("seed", range(5))

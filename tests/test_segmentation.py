@@ -334,7 +334,7 @@ def test_empty_transcript_rejected_everywhere():
 def test_to_dict_round_trips_the_interesting_fields():
     t = make_transcript(["Alice", "Bob", "Alice", "Charlie"])
     part = optimal_partition(t)
-    data = STAGES["segment"].dump(None, part)
+    data = STAGES["segment"].dump(part)
     assert data["breaks"] == list(part.breaks)
     assert data["total_cost_bits"] == part.total_cost
     assert [s["start"] for s in data["scenes"]] == [s.start for s in part.scenes]
